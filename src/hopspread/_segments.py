@@ -1,4 +1,4 @@
-"""Segmented reductions over CSR value arrays.
+"""Segmented reductions over CSR value arrays, and the row gather feeding them.
 
 `np.ufunc.reduceat` returns the element at the start index for empty
 segments and rejects start indices at the end of the array, so both helpers
@@ -25,3 +25,18 @@ def segment_prod(values, indptr):
     if nonempty.any():
         out[nonempty] = np.multiply.reduceat(values, indptr[:-1][nonempty])
     return out
+
+
+def gather_rows(indptr, rows):
+    """Flat value indices of CSR `rows`, in order, plus their segment offsets.
+
+    Returns (idx, seg): idx concatenates `indptr[r]:indptr[r+1]` for every r
+    in `rows`, and seg[i]:seg[i+1] is row i's slice of idx, ready for the
+    segment reductions above.
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    seg = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=seg[1:])
+    idx = np.repeat(starts - seg[:-1], counts) + np.arange(seg[-1])
+    return idx, seg

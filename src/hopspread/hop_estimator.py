@@ -3,42 +3,46 @@
 For hop counts 1 and 2 the expected spread within that many hops has a
 closed form per node, and adding one seed touches only the seed's one- and
 two-hop out-neighborhood. `HopState` stores survival complements
-q = 1 - activation probability: the two-hop update multiplies and divides
-survival factors, and q stays well conditioned when activation approaches 1.
+q = 1 - activation probability, which stay well conditioned when
+activation approaches 1.
 
-Probing and committing are split: `eval_gain` never mutates the state and
-returns a `GainReport` holding the would-be values, so a selection loop can
-probe many candidates and commit only the winner. A version stamp ties each
-report to the exact state it was computed against.
+Probing and committing are split: `eval_gain` leaves the state as it found
+it and returns a `GainReport` holding the would-be values, so a selection
+loop can probe many candidates and commit only the winner. A report
+remembers the state it was computed against and that state's version
+stamp, and `commit` refuses any other.
+
+An evaluation updates the candidate's out-neighbors' one-hop survival by
+one factor (cascade) or one subtracted weight (threshold), then recomputes
+the two-hop survival of every node those one-hop changes reach directly
+from its incoming edges, the same closed form a full recompute uses. No
+survival is ever divided out, and q2 accumulates no drift of its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._segments import segment_prod, segment_sum
+from ._segments import gather_rows, segment_prod, segment_sum
 from .graph import GraphError, validate_lt
-
-# Below this survival denominator the two-hop ratio update is 0/0-prone
-# (probability 1 edge out of a saturated node); recompute that node instead.
-DIVISION_GUARD = 1e-12
 
 DEFAULT_REFRESH_INTERVAL = 1024
 
 
 class StaleReportError(RuntimeError):
-    """A GainReport was produced against a state that has since changed."""
+    """A GainReport was produced against another state or an older version."""
 
 
 class GainReport:
     """Marginal hop-limited gain of one candidate plus the values to commit."""
 
-    __slots__ = ("candidate", "gain", "state_version", "q1_nodes", "q1_values", "q2_nodes", "q2_values")
+    __slots__ = ("state", "candidate", "gain", "state_version", "q1_nodes", "q1_values", "q2_nodes", "q2_values")
 
-    def __init__(self, candidate, gain, state_version, q1_nodes, q1_values, q2_nodes, q2_values):
+    def __init__(self, state, candidate, gain, q1_nodes, q1_values, q2_nodes, q2_values):
+        self.state = state
         self.candidate = candidate
         self.gain = gain
-        self.state_version = state_version
+        self.state_version = state.version
         self.q1_nodes = q1_nodes
         self.q1_values = q1_values
         self.q2_nodes = q2_nodes
@@ -51,11 +55,12 @@ class HopState:
     q1[v] = P[v not active within one hop], q2[v] likewise for two hops
     (only present when hops == 2). Seeds hold q = 0. `sigma` tracks the
     running hop-limited spread; a full recomputation every
-    `refresh_interval` commits keeps multiplicative float drift bounded on
-    long seed sequences.
+    `refresh_interval` commits bounds the float drift of the incrementally
+    updated q1 on long seed sequences.
 
-    States are not thread-safe: eval_gain reuses per-state scratch buffers
-    (restored before returning) instead of allocating per call.
+    States are not thread-safe: a two-hop eval_gain briefly writes the
+    would-be one-hop survivals into q1 and restores them in a `finally`
+    block before it returns.
     """
 
     __slots__ = (
@@ -70,10 +75,6 @@ class HopState:
         "version",
         "commit_count",
         "refresh_interval",
-        "_acc",
-        "_touched",
-        "_q1new",
-        "_q1flag",
     )
 
     def __init__(self, graph, model, hops, refresh_interval=DEFAULT_REFRESH_INTERVAL):
@@ -89,10 +90,6 @@ class HopState:
         self.version = 0
         self.commit_count = 0
         self.refresh_interval = refresh_interval
-        self._acc = np.zeros(n)
-        self._touched = np.zeros(n, dtype=bool)
-        self._q1new = np.zeros(n)
-        self._q1flag = np.zeros(n, dtype=bool)
 
     def spread(self):
         return self.sigma
@@ -117,19 +114,55 @@ def init_state(g, model="ic", hops=2, refresh_interval=DEFAULT_REFRESH_INTERVAL)
 
 
 def eval_gain(state, u):
-    """Exact marginal hop-limited gain of adding `u`, without mutating state."""
+    """Exact marginal hop-limited gain of adding `u`, without changing state."""
+    s = state
+    g, q1 = s.graph, s.q1
     u = int(u)
-    if not 0 <= u < state.graph.node_count:
+    if not 0 <= u < g.node_count:
         raise ValueError(f"node id {u} out of range")
-    if state.seed_mask[u]:
+    if s.seed_mask[u]:
         raise ValueError(f"node {u} is already a seed")
-    if state.model == "ic":
-        return _eval_ic1(state, u) if state.hops == 1 else _eval_ic2(state, u)
-    return _eval_lt1(state, u) if state.hops == 1 else _eval_lt2(state, u)
+
+    nbrs, ps = g.out_edges(u)
+    keep = ~s.seed_mask[nbrs]
+    ws = nbrs[keep].astype(np.int64)
+    q1w = q1[ws]
+    q1w_new = q1w * (1.0 - ps[keep]) if s.model == "ic" else q1w - ps[keep]
+    q1w_new = np.clip(q1w_new, 0.0, 1.0)
+    q1_nodes = np.concatenate(([u], ws))
+    q1_values = np.concatenate(([0.0], q1w_new))
+    if s.hops == 1:
+        gain = q1[u] + (q1w - q1w_new).sum()
+        return GainReport(s, u, max(float(gain), 0.0), q1_nodes, q1_values, None, None)
+
+    # Only C = {u} + ws change one-hop survival, so only out(C) can change
+    # two-hop survival; recompute those from all their incoming edges.
+    # Deduplicated by a sort: np.unique hashes since numpy 2.3, which is
+    # ~10x slower on hub-sized arrays.
+    reach = np.sort(np.concatenate((ws, g.out_dst[gather_rows(g.out_indptr, ws)[0]])))
+    first = np.ones(len(reach), dtype=bool)
+    first[1:] = reach[1:] != reach[:-1]
+    t = reach[first & ~s.seed_mask[reach] & (reach != u)]
+    edges, seg = gather_rows(g.in_indptr, t)
+    src = g.in_src[edges]
+    q1_old = q1[q1_nodes]
+    q1[q1_nodes] = q1_values
+    try:
+        pi1_src = 1.0 - q1[src]
+    finally:
+        q1[q1_nodes] = q1_old
+    t_values = _survival(s.model, g.in_prob[edges], pi1_src, seg)
+    q2 = s.q2
+    gain = q2[u] + (q2[t] - t_values).sum()
+    q2_nodes = np.concatenate(([u], t))
+    q2_values = np.concatenate(([0.0], t_values))
+    return GainReport(s, u, max(float(gain), 0.0), q1_nodes, q1_values, q2_nodes, q2_values)
 
 
 def commit(state, report):
-    """Apply a GainReport produced against this exact state version."""
+    """Apply a GainReport produced against this exact state and version."""
+    if report.state is not state:
+        raise StaleReportError(f"report for node {report.candidate} was evaluated against another state")
     if report.state_version != state.version:
         raise StaleReportError(
             f"report for node {report.candidate} was evaluated at version "
@@ -156,197 +189,23 @@ def spread(state):
     return state.sigma
 
 
-def _eval_ic1(s, u):
-    g = s.graph
-    nbrs, ps = g.out_edges(u)
-    keep = ~s.seed_mask[nbrs]
-    vs = nbrs[keep].astype(np.int64)
-    pv = ps[keep]
-    q1v = s.q1[vs]
-    newq = q1v * (1.0 - pv)
-    gain = max(float(s.q1[u] + (q1v - newq).sum()), 0.0)
-    nodes = np.concatenate([np.array([u], dtype=np.int64), vs])
-    vals = np.concatenate([np.array([0.0]), np.clip(newq, 0.0, 1.0)])
-    return GainReport(u, gain, s.version, nodes, vals, None, None)
-
-
-def _eval_ic2(s, u):
-    g = s.graph
-    q1, q2 = s.q1, s.q2
-    acc, touched = s._acc, s._touched
-    batches = []
-    dirty = []
-
-    def touch(vs):
-        fresh = vs[~touched[vs]]
-        if len(fresh):
-            touched[fresh] = True
-            acc[fresh] = q2[fresh]
-            batches.append(fresh)
-
-    nbrs, ps = g.out_edges(u)
-    keep = ~s.seed_mask[nbrs]
-    ws = nbrs[keep].astype(np.int64)
-    pws = ps[keep]
-    q1w_new = q1[ws] * (1.0 - pws)
-    pi1w_old = 1.0 - q1[ws]
-    pi1w_new = 1.0 - q1w_new
-
-    q1_nodes = np.concatenate([np.array([u], dtype=np.int64), ws])
-    q1_values = np.concatenate([np.array([0.0]), np.clip(q1w_new, 0.0, 1.0)])
-    try:
-        s._q1new[q1_nodes] = q1_values
-        s._q1flag[q1_nodes] = True
-
-        # Survival adjustment on u's direct neighbors: u's own one-hop
-        # activation jumps to 1.
-        den = 1.0 - pws * (1.0 - q1[u])
-        num = 1.0 - pws
-        bad = den < DIVISION_GUARD
-        touch(ws)
-        if bad.any():
-            dirty.extend(ws[bad].tolist())
-            good = ~bad
-            acc[ws[good]] *= num[good] / den[good]
-        elif len(ws):
-            acc[ws] *= num / den
-
-        # Ratio updates through each affected intermediate neighbor.
-        for i in range(len(ws)):
-            w = int(ws[i])
-            vs, pvs = g.out_edges(w)
-            keep2 = ~s.seed_mask[vs]
-            vs2 = vs[keep2].astype(np.int64)
-            pv = pvs[keep2]
-            not_u = vs2 != u
-            if not not_u.all():
-                vs2 = vs2[not_u]
-                pv = pv[not_u]
-            if len(vs2) == 0:
-                continue
-            den = 1.0 - pv * pi1w_old[i]
-            num = 1.0 - pv * pi1w_new[i]
-            bad = den < DIVISION_GUARD
-            touch(vs2)
-            if bad.any():
-                dirty.extend(vs2[bad].tolist())
-                good = ~bad
-                acc[vs2[good]] *= num[good] / den[good]
-            else:
-                acc[vs2] *= num / den
-
-        # Ill-conditioned ratios: rebuild those survivals from the incoming
-        # edges with the post-commit one-hop probabilities.
-        for v in set(dirty):
-            srcs, pin = g.in_edges(v)
-            pi1_src = np.where(s._q1flag[srcs], 1.0 - s._q1new[srcs], 1.0 - q1[srcs])
-            acc[v] = float(np.prod(1.0 - pin * pi1_src))
-
-        if batches:
-            tnodes = np.concatenate(batches)
-        else:
-            tnodes = np.zeros(0, dtype=np.int64)
-        tvals = np.clip(acc[tnodes], 0.0, 1.0)
-        gain = max(float(q2[u] + (q2[tnodes] - tvals).sum()), 0.0)
-        q2_nodes = np.concatenate([np.array([u], dtype=np.int64), tnodes])
-        q2_values = np.concatenate([np.array([0.0]), tvals])
-    finally:
-        if batches:
-            touched[np.concatenate(batches)] = False
-        s._q1flag[q1_nodes] = False
-    return GainReport(u, gain, s.version, q1_nodes, q1_values, q2_nodes, q2_values)
-
-
-def _eval_lt1(s, u):
-    g = s.graph
-    nbrs, bs = g.out_edges(u)
-    keep = ~s.seed_mask[nbrs]
-    vs = nbrs[keep].astype(np.int64)
-    b = bs[keep]
-    q1v = s.q1[vs]
-    newq = np.clip(q1v - b, 0.0, 1.0)
-    gain = max(float(s.q1[u] + (q1v - newq).sum()), 0.0)
-    nodes = np.concatenate([np.array([u], dtype=np.int64), vs])
-    vals = np.concatenate([np.array([0.0]), newq])
-    return GainReport(u, gain, s.version, nodes, vals, None, None)
-
-
-def _eval_lt2(s, u):
-    # Two-hop threshold activation is the weight sum over incoming edges of
-    # the sources' one-hop activation, so every update is additive.
-    g = s.graph
-    q1, q2 = s.q1, s.q2
-    acc, touched = s._acc, s._touched
-    batches = []
-
-    def touch(vs):
-        fresh = vs[~touched[vs]]
-        if len(fresh):
-            touched[fresh] = True
-            acc[fresh] = q2[fresh]
-            batches.append(fresh)
-
-    nbrs, bs = g.out_edges(u)
-    keep = ~s.seed_mask[nbrs]
-    ws = nbrs[keep].astype(np.int64)
-    bws = bs[keep]
-    q1_nodes = np.concatenate([np.array([u], dtype=np.int64), ws])
-    q1_values = np.concatenate([np.array([0.0]), np.clip(q1[ws] - bws, 0.0, 1.0)])
-    try:
-        touch(ws)
-        if len(ws):
-            acc[ws] -= bws * q1[u]
-        for i in range(len(ws)):
-            w = int(ws[i])
-            vs, bvs = g.out_edges(w)
-            keep2 = ~s.seed_mask[vs]
-            vs2 = vs[keep2].astype(np.int64)
-            bv = bvs[keep2]
-            not_u = vs2 != u
-            if not not_u.all():
-                vs2 = vs2[not_u]
-                bv = bv[not_u]
-            if len(vs2) == 0:
-                continue
-            touch(vs2)
-            acc[vs2] -= bv * bws[i]
-        if batches:
-            tnodes = np.concatenate(batches)
-        else:
-            tnodes = np.zeros(0, dtype=np.int64)
-        tvals = np.clip(acc[tnodes], 0.0, 1.0)
-        gain = max(float(q2[u] + (q2[tnodes] - tvals).sum()), 0.0)
-        q2_nodes = np.concatenate([np.array([u], dtype=np.int64), tnodes])
-        q2_values = np.concatenate([np.array([0.0]), tvals])
-    finally:
-        if batches:
-            touched[np.concatenate(batches)] = False
-    return GainReport(u, gain, s.version, q1_nodes, q1_values, q2_nodes, q2_values)
+def _survival(model, p, pi_src, seg):
+    """Per-segment survival given incoming edge weights and source activations."""
+    if model == "ic":
+        return segment_prod(1.0 - p * pi_src, seg)
+    return np.clip(1.0 - segment_sum(p * pi_src, seg), 0.0, 1.0)
 
 
 def _refresh(s):
     """Recompute survivals and spread from the seed set alone."""
     g = s.graph
     seeds = np.array(s.seeds, dtype=np.int64)
-    src_is_seed = s.seed_mask[g.in_src]
-    if s.model == "ic":
-        vals = np.where(src_is_seed, 1.0 - g.in_prob, 1.0)
-        q1 = segment_prod(vals, g.in_indptr)
-        q1[seeds] = 0.0
-        if s.hops == 2:
-            pi1 = 1.0 - q1
-            q2 = segment_prod(1.0 - g.in_prob * pi1[g.in_src], g.in_indptr)
-            q2[seeds] = 0.0
-            s.q2 = q2
-    else:
-        vals = np.where(src_is_seed, g.in_prob, 0.0)
-        q1 = np.clip(1.0 - segment_sum(vals, g.in_indptr), 0.0, 1.0)
-        q1[seeds] = 0.0
-        if s.hops == 2:
-            pi1 = 1.0 - q1
-            q2 = np.clip(1.0 - segment_sum(g.in_prob * pi1[g.in_src], g.in_indptr), 0.0, 1.0)
-            q2[seeds] = 0.0
-            s.q2 = q2
+    q1 = _survival(s.model, g.in_prob, s.seed_mask[g.in_src], g.in_indptr)
+    q1[seeds] = 0.0
+    if s.hops == 2:
+        q2 = _survival(s.model, g.in_prob, 1.0 - q1[g.in_src], g.in_indptr)
+        q2[seeds] = 0.0
+        s.q2 = q2
     s.q1 = q1
     qh = s.q2 if s.hops == 2 else s.q1
     s.sigma = float((1.0 - qh).sum())

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._segments import gather_rows
 from .graph import GraphError, validate_lt
 
 IC_ENUM_EDGE_LIMIT = 22
@@ -41,21 +42,6 @@ def _check_seeds(g, seeds):
     return seed_ids
 
 
-def _concat_ranges(starts, counts):
-    """Concatenate [starts[i], starts[i]+counts[i]) index ranges."""
-    keep = counts > 0
-    starts = starts[keep]
-    counts = counts[keep]
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    cum = np.cumsum(counts)
-    out[0] = starts[0]
-    out[cum[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
-    return np.cumsum(out)
-
-
 def _cascade_ic(g, seed_ids, hop_limit, rng, record_levels=False):
     """One cascade sample; each live-edge coin is flipped at most once."""
     active = np.zeros(g.node_count, dtype=bool)
@@ -64,9 +50,7 @@ def _cascade_ic(g, seed_ids, hop_limit, rng, record_levels=False):
     levels = [len(seed_ids)]
     hops = 0
     while len(frontier) and (hop_limit is None or hops < hop_limit):
-        starts = g.out_indptr[frontier]
-        counts = g.out_indptr[frontier + 1] - starts
-        pos = _concat_ranges(starts, counts)
+        pos = gather_rows(g.out_indptr, frontier)[0]
         if len(pos) == 0:
             break
         targets = g.out_dst[pos]
@@ -94,9 +78,7 @@ def _cascade_lt(g, seed_ids, hop_limit, rng, record_levels=False):
     levels = [len(seed_ids)]
     hops = 0
     while len(frontier) and (hop_limit is None or hops < hop_limit):
-        starts = g.out_indptr[frontier]
-        counts = g.out_indptr[frontier + 1] - starts
-        pos = _concat_ranges(starts, counts)
+        pos = gather_rows(g.out_indptr, frontier)[0]
         if len(pos) == 0:
             break
         targets = g.out_dst[pos]

@@ -15,9 +15,30 @@ from conftest import (
     random_lt_graph,
     reference_activation,
 )
+from hopspread import hop_estimator
 from hopspread.graph import Graph, GraphError
 from hopspread.hop_estimator import StaleReportError, commit, eval_gain, init_state, spread
 from hopspread.oracle import exact_spread
+
+
+def lt_admissible(g):
+    """`g` with each node's incoming weights made to sum to at most 1.
+
+    A node with a probability-1 incoming edge keeps the first one at weight
+    1 and gets weight 0 on the others, so it saturates from a single
+    source; every other node's weights are scaled down to sum to at most 1.
+    """
+    p = g.out_prob.copy()
+    dst = g.out_dst
+    keeper = np.full(g.node_count, -1)
+    for e in np.flatnonzero(p == 1.0)[::-1]:
+        keeper[dst[e]] = e
+    saturated = keeper[dst] >= 0
+    p[saturated] = 0.0
+    p[keeper[keeper >= 0]] = 1.0
+    sums = np.zeros(g.node_count)
+    np.add.at(sums, dst, p)
+    return g._with_probs(p / np.maximum(sums, 1.0)[dst])
 
 
 class TestChainExamples:
@@ -88,13 +109,64 @@ class TestStateContracts:
         with pytest.raises(StaleReportError):
             commit(s, r1)
 
-    def test_eval_is_read_only(self, chain_graph):
+    def test_eval_is_read_only(self, chain_graph, monkeypatch):
         s = init_state(chain_graph, "ic", 2)
         q1, q2 = s.q1.copy(), s.q2.copy()
         eval_gain(s, 0)
         assert np.array_equal(s.q1, q1) and np.array_equal(s.q2, q2)
         assert spread(s) == 0.0
-        assert not s._touched.any() and not s._q1flag.any()
+
+        def snapshot(state):
+            q2 = None if state.q2 is None else state.q2.copy()
+            return state.q1.copy(), q2, state.seed_mask.copy(), state.sigma, state.version
+
+        def assert_unchanged(state, snap):
+            q1, q2, mask, sigma, version = snap
+            assert np.array_equal(state.q1, q1) and np.array_equal(state.seed_mask, mask)
+            assert q2 is None if state.q2 is None else np.array_equal(state.q2, q2)
+            assert state.sigma == sigma and state.version == version
+
+        def failing_reduction(*args):
+            raise RuntimeError("injected")
+
+        rng = np.random.default_rng(31)
+        g = random_graph_with_cycles(rng, n=40)
+        for model in ("ic", "lt"):
+            graph = g if model == "ic" else lt_admissible(g)
+            for hops in (1, 2):
+                s = init_state(graph, model, hops)
+                for u in rng.permutation(40)[:6]:
+                    commit(s, eval_gain(s, int(u)))
+                snap = snapshot(s)
+                for v in np.flatnonzero(~s.seed_mask):
+                    eval_gain(s, int(v))
+                assert_unchanged(s, snap)
+                for bad in (s.seeds[0], -1, 40):
+                    with pytest.raises(ValueError):
+                        eval_gain(s, bad)
+                if hops == 2:
+                    with monkeypatch.context() as mp:
+                        mp.setattr(hop_estimator, "segment_prod", failing_reduction)
+                        mp.setattr(hop_estimator, "segment_sum", failing_reduction)
+                        for v in np.flatnonzero(~s.seed_mask):
+                            with pytest.raises(RuntimeError, match="injected"):
+                                eval_gain(s, int(v))
+                assert_unchanged(s, snap)
+
+    def test_commit_rejects_report_of_other_hop_count_and_model(self, chain_graph):
+        one_hop = init_state(chain_graph, "ic", 1)
+        two_hop = init_state(chain_graph, "lt", 2)
+        with pytest.raises(StaleReportError, match="another state"):
+            commit(two_hop, eval_gain(one_hop, 0))
+        assert np.array_equal(two_hop.q2, np.ones(3)) and spread(two_hop) == 0.0
+
+    def test_commit_rejects_report_of_other_graph(self):
+        a = init_state(Graph(3, [0, 1], [1, 2], [0.5, 0.5]), "ic", 2)
+        b = init_state(Graph(3, [0, 1], [1, 2], [0.9, 0.9]), "ic", 2)
+        with pytest.raises(StaleReportError, match="another state"):
+            commit(b, eval_gain(a, 0))
+        commit(b, eval_gain(b, 0))
+        assert spread(b) == pytest.approx(2.71, abs=1e-12)
 
     def test_all_seeded_spread_equals_node_count(self, chain_graph):
         for model in ("ic", "lt"):
@@ -245,3 +317,49 @@ class TestDivisionGuard:
         commit(s, eval_gain(s, 1))
         ref = reference_activation(g, [0, 1], 2, "ic")
         assert np.abs(s.activation() - ref).max() < 1e-12
+
+
+class TestLocalRecomputation:
+    """Every report against the seed-set reference, on hostile cyclic graphs."""
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    @pytest.mark.parametrize("hops", [1, 2])
+    def test_reports_match_reference(self, model, hops):
+        rng = np.random.default_rng(404)
+        for _ in range(4):
+            g = random_graph_with_cycles(rng, n=int(rng.integers(15, 40)))
+            if model == "lt":
+                g = lt_admissible(g)
+            n = g.node_count
+            for k in (0, 1, 3, n // 3, n - 2):
+                seeds = [int(v) for v in rng.permutation(n)[:k]]
+                s = init_state(g, model, hops)
+                for v in seeds:
+                    commit(s, eval_gain(s, v))
+                before = reference_activation(g, seeds, hops, model)
+                for u in np.flatnonzero(~s.seed_mask):
+                    r = eval_gain(s, int(u))
+                    after1 = reference_activation(g, seeds + [int(u)], 1, model)
+                    assert r.q1_nodes[0] == u
+                    assert r.q2_nodes is None if hops == 1 else r.q2_nodes[0] == u
+                    assert np.abs((1.0 - r.q1_values) - after1[r.q1_nodes]).max() < 1e-12
+                    nodes, values = (r.q1_nodes, r.q1_values) if hops == 1 else (r.q2_nodes, r.q2_values)
+                    after = after1 if hops == 1 else reference_activation(g, seeds + [int(u)], 2, model)
+                    assert np.abs((1.0 - values) - after[nodes]).max() < 1e-12
+                    changed = np.flatnonzero(after != before)
+                    assert np.isin(changed, nodes).all()
+                    assert r.gain == pytest.approx(after.sum() - before.sum(), abs=1e-12)
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_no_drift_without_refresh(self, model):
+        rng = np.random.default_rng(8)
+        g = random_graph_with_cycles(rng, n=320)
+        if model == "lt":
+            g = lt_admissible(g)
+        s = init_state(g, model, 2, refresh_interval=0)
+        order = [int(v) for v in rng.permutation(g.node_count)[:310]]
+        for i, u in enumerate(order):
+            commit(s, eval_gain(s, u))
+            ref = reference_activation(g, order[: i + 1], 2, model)
+            assert np.abs((1.0 - s.q2) - ref).max() < 1e-9
+        assert s.commit_count == 310

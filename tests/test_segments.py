@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hopspread._segments import segment_prod, segment_sum
+from hopspread._segments import gather_rows, segment_prod, segment_sum
 
 
 def brute_sum(values, indptr):
@@ -11,6 +11,19 @@ def brute_sum(values, indptr):
 
 def brute_prod(values, indptr):
     return np.array([values[a:b].prod() for a, b in zip(indptr[:-1], indptr[1:])])
+
+
+def brute_gather(indptr, rows):
+    idx = [i for r in rows for i in range(indptr[r], indptr[r + 1])]
+    seg = np.cumsum([0] + [indptr[r + 1] - indptr[r] for r in rows])
+    return np.array(idx, dtype=np.int64), seg
+
+
+def assert_gather_matches(indptr, rows):
+    idx, seg = gather_rows(indptr, rows)
+    want_idx, want_seg = brute_gather(indptr, rows)
+    assert np.array_equal(idx, want_idx) and np.array_equal(seg, want_seg)
+    assert idx.dtype.kind == "i" and seg.dtype == np.int64
 
 
 def test_trailing_empty_segments_do_not_truncate_previous():
@@ -43,3 +56,28 @@ def test_random_against_brute_force():
         values = rng.random(int(counts.sum())) + 0.1
         assert np.allclose(segment_sum(values, indptr), brute_sum(values, indptr))
         assert np.allclose(segment_prod(values, indptr), brute_prod(values, indptr))
+
+
+def test_gather_rows_with_empty_rows():
+    indptr = np.array([0, 2, 2, 5, 5, 6], dtype=np.int64)
+    idx, seg = gather_rows(indptr, np.array([3, 0, 1, 2, 4, 2], dtype=np.int64))
+    assert idx.tolist() == [0, 1, 2, 3, 4, 5, 2, 3, 4]
+    assert seg.tolist() == [0, 0, 2, 2, 5, 6, 9]
+    values = np.arange(6) + 1.0
+    assert np.allclose(segment_sum(values[idx], seg), [0.0, 3.0, 0.0, 12.0, 6.0, 12.0])
+
+
+def test_gather_rows_all_empty_and_no_rows():
+    indptr = np.zeros(5, dtype=np.int64)
+    assert_gather_matches(indptr, np.array([0, 3, 1], dtype=np.int64))
+    assert_gather_matches(indptr, np.zeros(0, dtype=np.int64))
+    assert_gather_matches(np.array([0, 2, 3], dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def test_gather_rows_random_against_brute_force():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        n_rows = int(rng.integers(1, 15))
+        indptr = np.concatenate([[0], np.cumsum(rng.integers(0, 5, size=n_rows))]).astype(np.int64)
+        rows = rng.integers(0, n_rows, size=int(rng.integers(0, 20))).astype(np.int64)
+        assert_gather_matches(indptr, rows)
