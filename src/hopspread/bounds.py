@@ -1,9 +1,10 @@
 """Per-node upper bounds on single-seed hop-limited spread.
 
 The recursion bound(0) = 1, bound(h)[v] = 1 + sum over out-edges of
-p(v,w) * bound(h-1)[w] dominates the true h-hop spread of {v} and is exact
-at h = 1. Each level is one linear pass over the edges, which is what makes
-bootstrapping the first greedy iteration essentially free.
+p(v,w) * bound(h-1)[w] dominates the h-hop spread of {v} under both
+diffusion models and is exact at h = 1. Threshold two-hop activation of x,
+min(1, b(v,x) + sum_w b(v,w) * b(w,x)), is dominated term by term. One
+linear pass per level makes bootstrapping the first greedy pick nearly free.
 """
 
 from __future__ import annotations

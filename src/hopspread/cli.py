@@ -93,7 +93,7 @@ def _select_once(g, algo, k, diffusion, dd_p, degree_kind):
     if algo == "degreediscount":
         return degree_discount(g, k, p=dd_p)
     hops = 1 if algo == "onehop" else 2
-    bootstrap = "none" if (algo == "twohop-o" or diffusion == "lt") else "upper_bounds"
+    bootstrap = "none" if algo == "twohop-o" else "upper_bounds"
     return greedy_celf(g, k, model=diffusion, hops=hops, bootstrap=bootstrap)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._segments import gather_rows, segment_prod, segment_sum
+from ._segments import gather_rows, segment_prod, segment_sum, sorted_unique
 from .graph import GraphError, validate_lt
 
 DEFAULT_REFRESH_INTERVAL = 1024
@@ -137,12 +137,8 @@ def eval_gain(state, u):
 
     # Only C = {u} + ws change one-hop survival, so only out(C) can change
     # two-hop survival; recompute those from all their incoming edges.
-    # Deduplicated by a sort: np.unique hashes since numpy 2.3, which is
-    # ~10x slower on hub-sized arrays.
-    reach = np.sort(np.concatenate((ws, g.out_dst[gather_rows(g.out_indptr, ws)[0]])))
-    first = np.ones(len(reach), dtype=bool)
-    first[1:] = reach[1:] != reach[:-1]
-    t = reach[first & ~s.seed_mask[reach] & (reach != u)]
+    reach = sorted_unique(np.concatenate((ws, g.out_dst[gather_rows(g.out_indptr, ws)[0]])))
+    t = reach[~s.seed_mask[reach] & (reach != u)]
     edges, seg = gather_rows(g.in_indptr, t)
     src = g.in_src[edges]
     q1_old = q1[q1_nodes]

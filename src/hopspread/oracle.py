@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._segments import gather_rows
+from ._segments import gather_rows, sorted_unique
 from .graph import GraphError, validate_lt
 
 IC_ENUM_EDGE_LIMIT = 22
@@ -56,7 +56,7 @@ def _cascade_ic(g, seed_ids, hop_limit, rng, record_levels=False):
         targets = g.out_dst[pos]
         hit = targets[rng.random(len(pos)) < g.out_prob[pos]]
         hit = hit[~active[hit]]
-        frontier = np.unique(hit)
+        frontier = sorted_unique(hit)
         active[frontier] = True
         hops += 1
         if record_levels:
@@ -83,7 +83,7 @@ def _cascade_lt(g, seed_ids, hop_limit, rng, record_levels=False):
             break
         targets = g.out_dst[pos]
         np.add.at(acc, targets, g.out_prob[pos])
-        cand = np.unique(targets)
+        cand = sorted_unique(targets)
         cand = cand[~active[cand]]
         frontier = cand[acc[cand] >= theta[cand]]
         active[frontier] = True

@@ -5,8 +5,8 @@ Submodularity makes every previously computed marginal gain a valid upper
 bound on the current one, so the lazy greedy keeps candidates in a max-heap
 keyed by cached gain and only re-evaluates the top until it is fresh. With
 `bootstrap="upper_bounds"` the heap starts from the closed-form single-seed
-bounds instead of evaluating every node once, which removes the full first
-pass entirely.
+bounds, valid under either diffusion model, instead of evaluating every node
+once, which removes the full first pass entirely.
 
 All ties break toward the smaller node id, both in the heap order and in the
 naive argmax, so the two paths return identical seed sequences.
@@ -63,14 +63,12 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds", refresh_inte
     """Lazy greedy selection of k seeds under hop-limited influence.
 
     bootstrap="upper_bounds" seeds the queue with the closed-form single-seed
-    bounds (cascade model only); bootstrap="none" evaluates every node once
+    bounds, under either model; bootstrap="none" evaluates every node once
     up front. Both return the same seed sequence.
     """
     _check_k(g, k)
     if bootstrap not in ("upper_bounds", "none"):
         raise ValueError(f"unknown bootstrap {bootstrap!r}")
-    if bootstrap == "upper_bounds" and model != "ic":
-        raise ValueError("upper-bound bootstrap is only valid under the cascade model")
     t0 = time.perf_counter()
     kwargs = {} if refresh_interval is None else {"refresh_interval": refresh_interval}
     state = init_state(g, model=model, hops=hops, **kwargs)

@@ -42,9 +42,35 @@ def random_graph_with_cycles(rng, n, extra_two_cycles=5, avg_deg=3.0, p_one_frac
     return Graph(n, src, dst, prob)
 
 
-def random_lt_graph(rng, n_max=6, m_max=8, n_min=2):
-    """Random digraph rescaled so incoming weights sum below 1 per node."""
-    g = random_ic_graph(rng, n_max, m_max, n_min=n_min)
+def lt_admissible(g):
+    """`g` with each node's incoming weights made to sum to at most 1.
+
+    A node with a probability-1 incoming edge keeps the first one at weight
+    1 and gets weight 0 on the others, so it saturates from a single
+    source; every other node's weights are scaled down to sum to at most 1.
+    """
+    p = g.out_prob.copy()
+    dst = g.out_dst
+    keeper = np.full(g.node_count, -1)
+    for e in np.flatnonzero(p == 1.0)[::-1]:
+        keeper[dst[e]] = e
+    saturated = keeper[dst] >= 0
+    p[saturated] = 0.0
+    p[keeper[keeper >= 0]] = 1.0
+    sums = np.zeros(g.node_count)
+    np.add.at(sums, dst, p)
+    return g._with_probs(p / np.maximum(sums, 1.0)[dst])
+
+
+def random_lt_graph(rng, n_max=6, m_max=8, n_min=2, p_one_frac=0.0):
+    """Random digraph rescaled so incoming weights sum below 1 per node.
+
+    With `p_one_frac`, that share of edges is drawn at weight 1 and
+    `lt_admissible` makes them admissible, so weight-1 edges survive.
+    """
+    g = random_ic_graph(rng, n_max, m_max, p_one_frac=p_one_frac, n_min=n_min)
+    if p_one_frac:
+        return lt_admissible(g)
     sums = np.zeros(g.node_count)
     np.add.at(sums, g.out_dst, g.out_prob)
     scale = np.ones(g.node_count)

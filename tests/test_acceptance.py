@@ -104,6 +104,34 @@ def test_criterion_03_upper_bound_dominance():
     _report(3, ok, f"100 graphs, 1-hop max |delta| = {worst_eq:.2e}, 2-hop min margin = {worst_margin:.2e}")
 
 
+def test_criterion_03_lt_upper_bound_dominance():
+    """Criterion 3 under the threshold model: the bounds the LT bootstrap uses."""
+    rng = np.random.default_rng(1013)
+    worst_eq = 0.0
+    worst_margin = np.inf
+    unit_edges = two_cycles = 0
+    for _ in range(100):
+        g = random_lt_graph(rng, n_max=30, m_max=90, p_one_frac=0.15)
+        src = np.repeat(np.arange(g.node_count), np.diff(g.out_indptr))
+        pairs = set(zip(src.tolist(), g.out_dst.tolist()))
+        unit_edges += int((g.out_prob == 1.0).sum())
+        two_cycles += sum((v, u) in pairs for u, v in pairs) // 2
+        ub1 = upper_bounds(g, 1).values
+        ub2 = upper_bounds(g, 2).values
+        s1 = init_state(g, "lt", 1)
+        s2 = init_state(g, "lt", 2)
+        for v in range(g.node_count):
+            worst_eq = max(worst_eq, abs(ub1[v] - eval_gain(s1, v).gain))
+            worst_margin = min(worst_margin, ub2[v] - eval_gain(s2, v).gain)
+    ok = worst_eq <= 1e-12 and worst_margin >= -1e-9 and unit_edges > 0 and two_cycles > 0
+    _report(
+        3,
+        ok,
+        f"LT, 100 graphs ({unit_edges} weight-1 edges, {two_cycles} 2-cycles), "
+        f"1-hop max |delta| = {worst_eq:.2e}, 2-hop min margin = {worst_margin:.2e}",
+    )
+
+
 def test_criterion_04_monotone_submodular():
     """Marginal gains shrink as the seed set grows, for both models and hops."""
     rng = np.random.default_rng(1004)

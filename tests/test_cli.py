@@ -54,7 +54,9 @@ class TestSelect:
         out = tmp_path / "sel.json"
         assert main(["select", "--graph", chain_file, "--model", "file", "--algo", "twohop",
                      "--diffusion", "lt", "--k", "1", "--out", str(out)]) == 0
-        assert read_json(out)["seeds"] == [10]
+        payload = read_json(out)
+        assert payload["seeds"] == [10]
+        assert payload["algorithm"] == "twohop"
 
     def test_csv_format(self, chain_file, tmp_path):
         out = tmp_path / "sel.csv"
@@ -199,15 +201,22 @@ class TestBench:
         assert lines[0] == "algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds"
         assert len(lines) == 1 + 2 * 2 * 2
 
-    def test_twohop_variants_agree_with_fewer_evaluations(self, tmp_path):
+    @staticmethod
+    def assert_twohop_variants_agree(tmp_path, diffusion):
         out = tmp_path / "bench.csv"
         assert main(["bench", "--synthetic", "400,1600,2.5", "--algos", "twohop,twohop-o",
-                     "--ks", "5", "--scales", "1.0", "--n-sims", "20", "--rng-seed", "7",
-                     "--out", str(out)]) == 0
+                     "--diffusion", diffusion, "--ks", "5", "--scales", "1.0", "--n-sims", "20",
+                     "--rng-seed", "7", "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         by_algo = {r[0]: r for r in rows}
         assert by_algo["twohop"][6] == by_algo["twohop-o"][6]
         assert int(by_algo["twohop"][4]) < int(by_algo["twohop-o"][4])
+
+    def test_twohop_variants_agree_with_fewer_evaluations(self, tmp_path):
+        self.assert_twohop_variants_agree(tmp_path, "ic")
+
+    def test_lt_twohop_variants_agree_with_fewer_evaluations(self, tmp_path):
+        self.assert_twohop_variants_agree(tmp_path, "lt")
 
     def test_empty_sweep_is_config_error(self):
         assert main(["bench", "--synthetic", "50,100,2.5", "--ks", ""]) == 1

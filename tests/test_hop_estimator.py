@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    lt_admissible,
     random_graph_with_cycles,
     random_ic_graph,
     random_lt_graph,
@@ -19,26 +20,6 @@ from hopspread import hop_estimator
 from hopspread.graph import Graph, GraphError
 from hopspread.hop_estimator import StaleReportError, commit, eval_gain, init_state, spread
 from hopspread.oracle import exact_spread
-
-
-def lt_admissible(g):
-    """`g` with each node's incoming weights made to sum to at most 1.
-
-    A node with a probability-1 incoming edge keeps the first one at weight
-    1 and gets weight 0 on the others, so it saturates from a single
-    source; every other node's weights are scaled down to sum to at most 1.
-    """
-    p = g.out_prob.copy()
-    dst = g.out_dst
-    keeper = np.full(g.node_count, -1)
-    for e in np.flatnonzero(p == 1.0)[::-1]:
-        keeper[dst[e]] = e
-    saturated = keeper[dst] >= 0
-    p[saturated] = 0.0
-    p[keeper[keeper >= 0]] = 1.0
-    sums = np.zeros(g.node_count)
-    np.add.at(sums, dst, p)
-    return g._with_probs(p / np.maximum(sums, 1.0)[dst])
 
 
 class TestChainExamples:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_ic_graph, random_lt_graph
-from hopspread.graph import Graph, GraphError
+from hopspread import oracle
+from hopspread.generate import power_law_graph
+from hopspread.graph import Graph, GraphError, WeightModel, apply_weight_model
 from hopspread.oracle import (
     ExactSpreadTable,
     brute_force_optimal,
@@ -76,6 +78,24 @@ class TestEstimateSpread:
     def test_nsims_validation(self, chain_graph):
         with pytest.raises(ValueError):
             estimate_spread(chain_graph, [0], n_sims=0)
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_sort_dedup_matches_np_unique(self, model, monkeypatch):
+        # The cascades' sort-based dedup must keep frontiers, hence RNG draws
+        # and estimates, bit-identical to deduplicating with np.unique.
+        g = apply_weight_model(power_law_graph(2000, 10000, rng_seed=5), WeightModel("wc"))
+        seeds = [0, 1, 2, 7]
+
+        def run():
+            return [
+                estimate_spread(g, seeds, model, None, 30, rng_seed=11),
+                estimate_spread(g, seeds, model, 2, 30, rng_seed=12),
+                [m.tolist() for m in estimate_hop_profile(g, seeds, model, n_sims=30, rng_seed=13)],
+            ]
+
+        fast = run()
+        monkeypatch.setattr(oracle, "sorted_unique", np.unique)
+        assert run() == fast
 
 
 class TestHopProfile:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hopspread._segments import gather_rows, segment_prod, segment_sum
+from hopspread._segments import gather_rows, segment_prod, segment_sum, sorted_unique
 
 
 def brute_sum(values, indptr):
@@ -81,3 +81,12 @@ def test_gather_rows_random_against_brute_force():
         indptr = np.concatenate([[0], np.cumsum(rng.integers(0, 5, size=n_rows))]).astype(np.int64)
         rows = rng.integers(0, n_rows, size=int(rng.integers(0, 20))).astype(np.int64)
         assert_gather_matches(indptr, rows)
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(7)
+    cases = [np.zeros(0, dtype=np.int64), np.array([4]), np.full(9, 3)]
+    cases += [rng.integers(0, int(rng.integers(1, 50)), size=int(rng.integers(0, 200))) for _ in range(100)]
+    for a in cases:
+        got = sorted_unique(a)
+        assert np.array_equal(got, np.unique(a)) and got.dtype == a.dtype

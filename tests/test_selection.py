@@ -20,21 +20,25 @@ class TestCelfMatchesNaive:
         for _ in range(20):
             g = random_ic_graph(rng, n_max=20, m_max=60, n_min=5) if model == "ic" else random_lt_graph(rng, n_max=15, m_max=40, n_min=5)
             k = int(rng.integers(1, min(5, g.node_count) + 1))
-            bootstrap = "upper_bounds" if model == "ic" else "none"
-            lazy = greedy_celf(g, k, model=model, hops=hops, bootstrap=bootstrap)
             naive = greedy_naive(g, k, model=model, hops=hops)
-            assert lazy.seeds == naive.seeds
-            assert np.allclose(lazy.marginal_gains, naive.marginal_gains, atol=1e-12)
+            for bootstrap in ("upper_bounds", "none"):
+                lazy = greedy_celf(g, k, model=model, hops=hops, bootstrap=bootstrap)
+                assert lazy.seeds == naive.seeds
+                assert np.allclose(lazy.marginal_gains, naive.marginal_gains, atol=1e-12)
 
     def test_bootstrap_modes_agree(self):
         rng = np.random.default_rng(42)
-        for _ in range(20):
-            g = random_ic_graph(rng, n_max=20, m_max=60, n_min=5)
-            k = int(rng.integers(1, min(5, g.node_count) + 1))
-            with_ub = greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds")
-            without = greedy_celf(g, k, model="ic", hops=2, bootstrap="none")
-            assert with_ub.seeds == without.seeds
-            assert np.allclose(with_ub.marginal_gains, without.marginal_gains, atol=1e-12)
+        for model, hops in (("ic", 2), ("lt", 1), ("lt", 2)):
+            for _ in range(20):
+                if model == "ic":
+                    g = random_ic_graph(rng, n_max=20, m_max=60, n_min=5)
+                else:
+                    g = random_lt_graph(rng, n_max=20, m_max=60, n_min=5, p_one_frac=0.15)
+                k = int(rng.integers(1, min(5, g.node_count) + 1))
+                with_ub = greedy_celf(g, k, model=model, hops=hops, bootstrap="upper_bounds")
+                without = greedy_celf(g, k, model=model, hops=hops, bootstrap="none")
+                assert with_ub.seeds == without.seeds
+                assert np.allclose(with_ub.marginal_gains, without.marginal_gains, atol=1e-12)
 
     def test_bootstrap_saves_evaluations_on_larger_graph(self):
         g = apply_weight_model(power_law_graph(1200, 5000, rng_seed=3), WeightModel("wc"))
@@ -43,10 +47,15 @@ class TestCelfMatchesNaive:
         assert with_ub.seeds == without.seeds
         assert with_ub.evaluations < without.evaluations
 
-    def test_lt_rejects_upper_bound_bootstrap(self):
-        g = Graph(3, [0, 1], [1, 2], [0.5, 0.5])
-        with pytest.raises(ValueError, match="cascade"):
-            greedy_celf(g, 1, model="lt", hops=2, bootstrap="upper_bounds")
+    def test_lt_bootstrap_saves_evaluations_on_larger_graph(self):
+        # WC weights sum to exactly 1 per node with in-edges: admissible for LT.
+        g = apply_weight_model(power_law_graph(1200, 5000, rng_seed=3), WeightModel("wc"))
+        for hops in (1, 2):
+            with_ub = greedy_celf(g, 10, model="lt", hops=hops)
+            without = greedy_celf(g, 10, model="lt", hops=hops, bootstrap="none")
+            assert with_ub.seeds == without.seeds
+            assert np.allclose(with_ub.marginal_gains, without.marginal_gains, atol=1e-12)
+            assert with_ub.evaluations < without.evaluations // 10
 
 
 class TestSelectionContracts:
@@ -66,7 +75,7 @@ class TestSelectionContracts:
         rng = np.random.default_rng(43)
         for model in ("ic", "lt"):
             g = random_ic_graph(rng, n_max=25, m_max=80, n_min=10) if model == "ic" else random_lt_graph(rng, n_max=20, m_max=50, n_min=10)
-            res = greedy_celf(g, min(8, g.node_count), model=model, hops=2, bootstrap="upper_bounds" if model == "ic" else "none")
+            res = greedy_celf(g, min(8, g.node_count), model=model, hops=2)
             gains = res.marginal_gains
             assert all(gains[i] >= gains[i + 1] - 1e-9 for i in range(len(gains) - 1))
             assert abs(sum(gains) - res.spread) < 1e-6 * g.node_count
