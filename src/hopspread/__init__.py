@@ -36,7 +36,6 @@ from .oracle import (
     simulate_once,
 )
 from .selection import (
-    CelfEntry,
     SeedResult,
     degree_discount,
     greedy_celf,
@@ -45,7 +44,6 @@ from .selection import (
 )
 
 __all__ = [
-    "CelfEntry",
     "ExactSpreadTable",
     "GainReport",
     "Graph",

@@ -137,17 +137,25 @@ def cmd_select(args):
 
 
 def _read_seeds_file(path):
+    """Seed ids from a JSON list, a JSON object with a "seeds" list, or whitespace-separated text."""
     with open(path) as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        obj = json.loads(text)
-        if "seeds" not in obj:
-            raise GraphError(f"seed file {path} has no 'seeds' field")
-        return [int(v) for v in obj["seeds"]]
-    if stripped.startswith("["):
-        return [int(v) for v in json.loads(text)]
-    return [int(line) for line in text.split() if line.strip()]
+    if text.lstrip().startswith(("{", "[")):
+        seeds = json.loads(text)
+        if isinstance(seeds, dict):
+            seeds = seeds.get("seeds")
+        if not isinstance(seeds, list):
+            raise GraphError(f"seed file {path}: expected a JSON list of ids or an object with a 'seeds' list")
+        items = [(f"entry {i}", v) for i, v in enumerate(seeds)]
+    else:
+        items = [(f"line {n}", tok) for n, line in enumerate(text.splitlines(), 1) for tok in line.split()]
+    ids = []
+    for where, value in items:
+        try:
+            ids.append(int(value))
+        except (TypeError, ValueError, OverflowError):
+            raise GraphError(f"seed file {path}, {where}: invalid seed id {value!r}") from None
+    return ids
 
 
 def _check_sim_flags(args):

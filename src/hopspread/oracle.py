@@ -3,10 +3,13 @@
 Three tiers: Monte-Carlo cascade simulation for arbitrary graphs, exhaustive
 live-edge enumeration for exact expected spread on tiny instances, and an
 exhaustive optimal-seed-set search built on top of the enumeration. The
-enumeration treats a diffusion outcome as a deterministic graph: under the
-cascade model every edge is independently live or blocked; under the
-threshold model every node keeps at most one live incoming edge, chosen with
-its weight as probability.
+enumeration treats a diffusion outcome as a live-edge graph (Kempe,
+Kleinberg & Tardos, KDD 2003): under the cascade model every edge is
+independently live or blocked; under the threshold model every node keeps at
+most one live incoming edge, chosen with its weight as probability. Both
+models share one outcome generator and one reachability kernel, which ORs
+per-node bitsets along live edges one hop per level: `exact_spread` starts
+it from one bit at each seed, `ExactSpreadTable` from bit u at each node u.
 """
 
 from __future__ import annotations
@@ -37,43 +40,28 @@ class SpreadEstimate:
 
 def _check_seeds(g, seeds):
     seed_ids = np.unique(np.asarray(list(seeds), dtype=np.int64))
-    if len(seed_ids) and (seed_ids.min() < 0 or seed_ids.max() >= g.node_count):
-        raise GraphError(f"invalid seed id {int(seed_ids.max())}")
+    bad = seed_ids[(seed_ids < 0) | (seed_ids >= g.node_count)]
+    if len(bad):
+        raise GraphError(f"invalid seed id {int(bad[0])}")
     return seed_ids
 
 
-def _cascade_ic(g, seed_ids, hop_limit, rng, record_levels=False):
-    """One cascade sample; each live-edge coin is flipped at most once."""
-    active = np.zeros(g.node_count, dtype=bool)
-    active[seed_ids] = True
-    frontier = seed_ids
-    levels = [len(seed_ids)]
-    hops = 0
-    while len(frontier) and (hop_limit is None or hops < hop_limit):
-        pos = gather_rows(g.out_indptr, frontier)[0]
-        if len(pos) == 0:
-            break
-        targets = g.out_dst[pos]
-        hit = targets[rng.random(len(pos)) < g.out_prob[pos]]
-        hit = hit[~active[hit]]
-        frontier = sorted_unique(hit)
-        active[frontier] = True
-        hops += 1
-        if record_levels:
-            levels.append(levels[-1] + len(frontier))
-    if record_levels:
-        return levels
-    return int(active.sum())
+def _cascade(g, seed_ids, model, hop_limit, rng, record_levels=False):
+    """One diffusion sample, activated level by level.
 
-
-def _cascade_lt(g, seed_ids, hop_limit, rng, record_levels=False):
-    """One threshold sample: thresholds drawn once, activation level-synchronous."""
+    Cascade model: each live-edge coin is flipped at most once. Threshold
+    model: thresholds are drawn once, and a node activates when the weight
+    of its active in-neighbours reaches its threshold.
+    """
     n = g.node_count
-    # U(0, 1] thresholds so that P[threshold <= w] = w exactly.
-    theta = 1.0 - rng.random(n)
+    if model == "lt":
+        # U(0, 1] thresholds so that P[threshold <= w] = w exactly.
+        theta = 1.0 - rng.random(n)
+        acc = np.zeros(n)
+    elif model != "ic":
+        raise ValueError(f"unknown diffusion model {model!r}")
     active = np.zeros(n, dtype=bool)
     active[seed_ids] = True
-    acc = np.zeros(n)
     frontier = seed_ids
     levels = [len(seed_ids)]
     hops = 0
@@ -82,10 +70,14 @@ def _cascade_lt(g, seed_ids, hop_limit, rng, record_levels=False):
         if len(pos) == 0:
             break
         targets = g.out_dst[pos]
-        np.add.at(acc, targets, g.out_prob[pos])
-        cand = sorted_unique(targets)
-        cand = cand[~active[cand]]
-        frontier = cand[acc[cand] >= theta[cand]]
+        if model == "ic":
+            hit = targets[rng.random(len(pos)) < g.out_prob[pos]]
+            frontier = sorted_unique(hit[~active[hit]])
+        else:
+            np.add.at(acc, targets, g.out_prob[pos])
+            cand = sorted_unique(targets)
+            cand = cand[~active[cand]]
+            frontier = cand[acc[cand] >= theta[cand]]
         active[frontier] = True
         hops += 1
         if record_levels:
@@ -100,19 +92,14 @@ def simulate_once(g, seeds, model="ic", hop_limit=None, rng=None):
     seed_ids = _check_seeds(g, seeds)
     if rng is None:
         rng = np.random.default_rng()
-    if model == "ic":
-        return _cascade_ic(g, seed_ids, hop_limit, rng)
-    if model == "lt":
-        return _cascade_lt(g, seed_ids, hop_limit, rng)
-    raise ValueError(f"unknown diffusion model {model!r}")
+    return _cascade(g, seed_ids, model, hop_limit, rng)
 
 
 def _sim_chunk(g, seed_ids, model, hop_limit, rng_seed, lo, hi):
     base = np.random.PCG64(rng_seed)
-    fn = _cascade_ic if model == "ic" else _cascade_lt
     out = np.empty(hi - lo)
     for i in range(lo, hi):
-        out[i - lo] = fn(g, seed_ids, hop_limit, np.random.Generator(base.jumped(i)))
+        out[i - lo] = _cascade(g, seed_ids, model, hop_limit, np.random.Generator(base.jumped(i)))
     return out
 
 
@@ -153,14 +140,16 @@ def estimate_hop_profile(g, seeds, model="ic", n_sims=1000, rng_seed=None):
     active within h hops; the last entry is the unlimited-hop spread. Within
     one sample the counts are non-decreasing in h by construction.
     """
+    if n_sims < 1:
+        raise ValueError("n_sims must be >= 1")
     seed_ids = _check_seeds(g, seeds)
     if rng_seed is None:
         rng_seed = int(np.random.SeedSequence().entropy) % (2**63)
     base = np.random.PCG64(rng_seed)
-    fn = _cascade_ic if model == "ic" else _cascade_lt
     profiles = []
     for i in range(n_sims):
-        profiles.append(fn(g, seed_ids, None, np.random.Generator(base.jumped(i)), record_levels=True))
+        rng = np.random.Generator(base.jumped(i))
+        profiles.append(_cascade(g, seed_ids, model, None, rng, record_levels=True))
     depth = max(len(p) for p in profiles)
     table = np.empty((n_sims, depth))
     for i, p in enumerate(profiles):
@@ -171,9 +160,69 @@ def estimate_hop_profile(g, seeds, model="ic", n_sims=1000, rng_seed=None):
     return means, ses
 
 
-def _ic_edge_arrays(g):
-    srcs = np.repeat(np.arange(g.node_count, dtype=np.int64), g.out_degrees())
-    return srcs, np.asarray(g.out_dst, dtype=np.int64), g.out_prob
+def _outcome_chunks(g, model):
+    """Every diffusion outcome of `g` as a live-edge graph, in chunks.
+
+    Yields (src, dst, prob, live): one edge list, the probability of each
+    outcome in the chunk and an (edges x outcomes) live mask. Under the
+    cascade model each edge is live independently with its probability;
+    under the threshold model node v keeps at most one live in-edge, (u, v)
+    with probability w_uv and none with 1 - sum of v's in-weights.
+    """
+    n, m = g.node_count, g.edge_count
+    if model == "ic":
+        if m > IC_ENUM_EDGE_LIMIT:
+            raise ValueError(f"instance too large for enumeration: {m} edges > {IC_ENUM_EDGE_LIMIT}")
+        src = np.repeat(np.arange(n, dtype=np.int64), g.out_degrees())
+        p = g.out_prob[:, None]
+        total = 1 << m
+        for lo in range(0, total, _ENUM_CHUNK):
+            outcomes = np.arange(lo, min(lo + _ENUM_CHUNK, total), dtype=np.uint64)
+            live = ((outcomes >> np.arange(m, dtype=np.uint64)[:, None]) & 1).astype(bool)
+            yield src, g.out_dst, np.where(live, p, 1.0 - p).prod(axis=0), live
+    elif model == "lt":
+        if validate_lt(g):
+            raise GraphError("graph is not admissible for threshold diffusion")
+        indeg = g.in_degrees().astype(np.int64)
+        space = 1
+        for d in indeg:
+            space *= int(d) + 1
+            if space > LT_ENUM_OUTCOME_LIMIT:
+                raise ValueError("instance too large for enumeration: choice space exceeds limit")
+        strides = np.ones(n, dtype=np.int64)
+        np.cumprod(indeg[:-1] + 1, out=strides[1:])
+        dst = np.repeat(np.arange(n, dtype=np.int64), indeg)
+        slot = np.arange(m) - g.in_indptr[dst]
+        none_p = np.clip(1.0 - np.bincount(dst, weights=g.in_prob, minlength=n), 0.0, 1.0)
+        # Node v's choices: its in-edges in order, then none, from offset in_indptr[v] + v.
+        choice_p = np.insert(g.in_prob, g.in_indptr[1:], none_p)
+        first = (g.in_indptr[:-1] + np.arange(n))[:, None]
+        for lo in range(0, space, _ENUM_CHUNK):
+            outcomes = np.arange(lo, min(lo + _ENUM_CHUNK, space), dtype=np.int64)
+            choice = (outcomes // strides[:, None]) % (indeg + 1)[:, None]
+            yield g.in_src, dst, choice_p[first + choice].prod(axis=0), choice[dst] == slot[:, None]
+    else:
+        raise ValueError(f"unknown diffusion model {model!r}")
+
+
+def _propagate(bits, src, dst, live, hop_limit):
+    """OR each node's bitset along live edges, one hop per level.
+
+    `bits` is (nodes x outcomes), bool for a single bit or int64 for up to
+    63; the result's row v holds the OR of the starting rows of every node
+    with a live path of at most `hop_limit` edges (any length if None) to v
+    in that outcome.
+    """
+    levels = hop_limit if hop_limit is not None else max(len(bits) - 1, 1)
+    for _ in range(levels):
+        new = bits.copy()
+        for e in range(len(src)):
+            # Multiplying by the bool live mask keeps or clears the whole bitset.
+            new[dst[e]] |= bits[src[e]] * live[e]
+        if np.array_equal(new, bits):
+            break
+        bits = new
+    return bits
 
 
 def exact_spread(g, seeds, model="ic", hop_limit=None):
@@ -186,113 +235,23 @@ def exact_spread(g, seeds, model="ic", hop_limit=None):
     n = g.node_count
     if n == 0 or len(seed_ids) == 0:
         return 0.0
-    levels = hop_limit if hop_limit is not None else max(n - 1, 1)
-    if model == "ic":
-        return _exact_ic(g, seed_ids, levels)
-    if model == "lt":
-        return _exact_lt(g, seed_ids, levels)
-    raise ValueError(f"unknown diffusion model {model!r}")
-
-
-def _exact_ic(g, seed_ids, levels):
-    m = g.edge_count
-    if m > IC_ENUM_EDGE_LIMIT:
-        raise ValueError(f"instance too large for enumeration: {m} edges > {IC_ENUM_EDGE_LIMIT}")
-    n = g.node_count
-    srcs, dsts, ps = _ic_edge_arrays(g)
-    total = 1 << m
     expected = 0.0
-    for lo in range(0, total, _ENUM_CHUNK):
-        masks = np.arange(lo, min(lo + _ENUM_CHUNK, total), dtype=np.uint64)
-        live = ((masks[:, None] >> np.arange(m, dtype=np.uint64)) & 1).astype(bool)
-        w = np.where(live, ps, 1.0 - ps).prod(axis=1)
-        reach = np.zeros((len(masks), n), dtype=bool)
-        reach[:, seed_ids] = True
-        for _ in range(levels):
-            new = reach.copy()
-            for e in range(m):
-                new[:, dsts[e]] |= reach[:, srcs[e]] & live[:, e]
-            if np.array_equal(new, reach):
-                break
-            reach = new
-        expected += float(w @ reach.sum(axis=1))
-    return expected
-
-
-def _lt_choice_space(g):
-    """Sizes, strides, and none-probabilities of per-node in-edge choices."""
-    if validate_lt(g):
-        raise GraphError("graph is not admissible for threshold diffusion")
-    indeg = g.in_degrees().astype(np.int64)
-    sizes = indeg + 1
-    space = 1
-    for s in sizes:
-        space *= int(s)
-        if space > LT_ENUM_OUTCOME_LIMIT:
-            raise ValueError("instance too large for enumeration: choice space exceeds limit")
-    strides = np.ones(g.node_count, dtype=np.int64)
-    np.cumprod(sizes[:-1], out=strides[1:])
-    none_p = np.empty(g.node_count)
-    for v in range(g.node_count):
-        _, ws = g.in_edges(v)
-        none_p[v] = 1.0 - ws.sum()
-    return sizes, strides, np.clip(none_p, 0.0, 1.0), space
-
-
-def _lt_outcomes(g, lo, hi, sizes, strides, none_p):
-    """Decode outcome indices [lo, hi) into (probabilities, chosen sources)."""
-    idxs = np.arange(lo, hi, dtype=np.int64)
-    prob = np.ones(len(idxs))
-    chosen = np.full((len(idxs), g.node_count), -1, dtype=np.int64)
-    for v in range(g.node_count):
-        c = (idxs // strides[v]) % sizes[v]
-        indeg = sizes[v] - 1
-        if indeg == 0:
-            continue
-        srcs, ws = g.in_edges(v)
-        picked = c < indeg
-        slots = np.minimum(c, indeg - 1)
-        prob *= np.where(picked, ws[slots], none_p[v])
-        chosen[:, v] = np.where(picked, srcs[slots], -1)
-    return prob, chosen
-
-
-def _exact_lt(g, seed_ids, levels):
-    n = g.node_count
-    sizes, strides, none_p, space = _lt_choice_space(g)
-    seed_mask = np.zeros(n, dtype=bool)
-    seed_mask[seed_ids] = True
-    expected = 0.0
-    rows = None
-    for lo in range(0, space, _ENUM_CHUNK):
-        hi = min(lo + _ENUM_CHUNK, space)
-        prob, chosen = _lt_outcomes(g, lo, hi, sizes, strides, none_p)
-        k = hi - lo
-        if rows is None or len(rows) != k:
-            rows = np.arange(k)
-        active = np.tile(seed_mask, (k, 1))
-        for _ in range(levels):
-            prev = active
-            active = prev.copy()
-            for v in range(n):
-                if seed_mask[v]:
-                    continue
-                sel = chosen[:, v]
-                valid = sel >= 0
-                active[:, v] |= valid & prev[rows, np.maximum(sel, 0)]
-            if np.array_equal(active, prev):
-                break
-        expected += float(prob @ active.sum(axis=1))
+    for src, dst, prob, live in _outcome_chunks(g, model):
+        bits = np.zeros((n, len(prob)), dtype=bool)
+        bits[seed_ids] = True
+        active = np.count_nonzero(_propagate(bits, src, dst, live, hop_limit), axis=0)
+        expected += float(prob @ active)
     return expected
 
 
 class ExactSpreadTable:
     """Exact spread for every seed set of a tiny graph, queried in O(1).
 
-    For each node x, enumeration yields the probability that each `activator
-    set` (the nodes whose seeding would activate x within the hop limit)
-    occurs. A subset-sum transform turns that into D[c] = expected number of
-    nodes NOT activated when the seed set is the complement of c, so
+    Enumeration starts node u's bitset at 1 << u, so after propagation node
+    x's bitset in each outcome is its `activator set` (the nodes whose
+    seeding would activate x within the hop limit). A subset-sum transform
+    of the activator-set probabilities gives D[c] = expected number of nodes
+    NOT activated when the seed set is the complement of c, so
     spread(S) = |V| - D[complement of S].
     """
 
@@ -301,13 +260,12 @@ class ExactSpreadTable:
         if n > 20:
             raise ValueError("instance too large for subset spread table")
         self.node_count = n
-        levels = hop_limit if hop_limit is not None else max(n - 1, 1)
-        if model == "ic":
-            weights = self._ic_activator_weights(g, levels)
-        elif model == "lt":
-            weights = self._lt_activator_weights(g, levels)
-        else:
-            raise ValueError(f"unknown diffusion model {model!r}")
+        weights = np.zeros((n, 1 << n))
+        for src, dst, prob, live in _outcome_chunks(g, model):
+            bits = np.repeat(np.int64(1) << np.arange(n, dtype=np.int64)[:, None], len(prob), axis=1)
+            acts = _propagate(bits, src, dst, live, hop_limit)
+            for x in range(n):
+                weights[x] += np.bincount(acts[x], weights=prob, minlength=1 << n)
         # Subset-sum (zeta) transform over activator masks, summed over nodes.
         dsum = weights.sum(axis=0)
         for bit in range(n):
@@ -317,64 +275,11 @@ class ExactSpreadTable:
         self._dsum = dsum
         self._full = (1 << n) - 1
 
-    @staticmethod
-    def _ic_activator_weights(g, levels):
-        m = g.edge_count
-        if m > IC_ENUM_EDGE_LIMIT:
-            raise ValueError(f"instance too large for enumeration: {m} edges > {IC_ENUM_EDGE_LIMIT}")
-        n = g.node_count
-        srcs, dsts, ps = _ic_edge_arrays(g)
-        weights = np.zeros((n, 1 << n))
-        total = 1 << m
-        for lo in range(0, total, _ENUM_CHUNK):
-            masks = np.arange(lo, min(lo + _ENUM_CHUNK, total), dtype=np.uint64)
-            live = ((masks[:, None] >> np.arange(m, dtype=np.uint64)) & 1).astype(bool)
-            w = np.where(live, ps, 1.0 - ps).prod(axis=1)
-            acts = np.zeros((len(masks), n), dtype=np.int64)
-            for u in range(n):
-                reach = np.zeros((len(masks), n), dtype=bool)
-                reach[:, u] = True
-                for _ in range(levels):
-                    new = reach.copy()
-                    for e in range(m):
-                        new[:, dsts[e]] |= reach[:, srcs[e]] & live[:, e]
-                    if np.array_equal(new, reach):
-                        break
-                    reach = new
-                acts |= reach.astype(np.int64) << u
-            for x in range(n):
-                weights[x] += np.bincount(acts[:, x], weights=w, minlength=1 << n)
-        return weights
-
-    @staticmethod
-    def _lt_activator_weights(g, levels):
-        n = g.node_count
-        sizes, strides, none_p, space = _lt_choice_space(g)
-        weights = np.zeros((n, 1 << n))
-        for lo in range(0, space, _ENUM_CHUNK):
-            hi = min(lo + _ENUM_CHUNK, space)
-            prob, chosen = _lt_outcomes(g, lo, hi, sizes, strides, none_p)
-            rows = np.arange(hi - lo)
-            for x in range(n):
-                acts = np.full(hi - lo, 1 << x, dtype=np.int64)
-                cur = np.full(hi - lo, x, dtype=np.int64)
-                alive = np.ones(hi - lo, dtype=bool)
-                for _ in range(levels):
-                    nxt = chosen[rows, np.maximum(cur, 0)]
-                    alive &= cur >= 0
-                    alive &= nxt >= 0
-                    if not alive.any():
-                        break
-                    cur = np.where(alive, nxt, -1)
-                    acts |= np.where(alive, np.int64(1) << np.maximum(cur, 0), 0)
-                weights[x] += np.bincount(acts, weights=prob, minlength=1 << n)
-        return weights
-
     def spread(self, seeds):
         """Exact expected spread of the given seed set."""
         smask = 0
-        for s in seeds:
-            smask |= 1 << int(s)
+        for s in _check_seeds(self, seeds).tolist():
+            smask |= 1 << s
         if smask == 0:
             return 0.0
         return float(self.node_count - self._dsum[self._full ^ smask])

@@ -2,11 +2,13 @@
 full-evaluation greedy for cross-checking, and the degree heuristics.
 
 Submodularity makes every previously computed marginal gain a valid upper
-bound on the current one, so the lazy greedy keeps candidates in a max-heap
-keyed by cached gain and only re-evaluates the top until it is fresh. With
-`bootstrap="upper_bounds"` the heap starts from the closed-form single-seed
-bounds, valid under either diffusion model, instead of evaluating every node
-once, which removes the full first pass entirely.
+bound on the current one, so the lazy greedy keeps one max-heap of
+(cached gain, node, round) entries and re-evaluates the top until an entry
+evaluated in the current round comes out. That entry is the round's best
+report, and it is committed as is. The heap starts from the closed-form
+single-seed bounds (`bootstrap="upper_bounds"`, valid under either diffusion
+model), which removes the full first pass, or from infinite bounds
+(`bootstrap="none"`), which evaluates every node once.
 
 All ties break toward the smaller node id, both in the heap order and in the
 naive argmax, so the two paths return identical seed sequences.
@@ -15,29 +17,14 @@ naive argmax, so the two paths return identical seed sequences.
 from __future__ import annotations
 
 import heapq
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import upper_bounds
 from .hop_estimator import commit, eval_gain, init_state
-
-
-class CelfEntry:
-    """Heap entry: a candidate with its cached (upper-bounding) gain."""
-
-    __slots__ = ("node", "cached_gain", "evaluated_at")
-
-    def __init__(self, node, cached_gain, evaluated_at):
-        self.node = node
-        self.cached_gain = cached_gain
-        self.evaluated_at = evaluated_at
-
-    def __lt__(self, other):
-        if self.cached_gain != other.cached_gain:
-            return self.cached_gain > other.cached_gain
-        return self.node < other.node
 
 
 @dataclass(frozen=True)
@@ -59,57 +46,46 @@ def _check_k(g, k):
         raise ValueError(f"k={k} out of range for {g.node_count} nodes")
 
 
-def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds", refresh_interval=None):
+def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
     """Lazy greedy selection of k seeds under hop-limited influence.
 
     bootstrap="upper_bounds" seeds the queue with the closed-form single-seed
-    bounds, under either model; bootstrap="none" evaluates every node once
-    up front. Both return the same seed sequence.
+    bounds, under either model; bootstrap="none" starts every node at an
+    infinite bound, so each is evaluated once before the first pick. Both
+    return the same seed sequence.
     """
     _check_k(g, k)
     if bootstrap not in ("upper_bounds", "none"):
         raise ValueError(f"unknown bootstrap {bootstrap!r}")
     t0 = time.perf_counter()
-    kwargs = {} if refresh_interval is None else {"refresh_interval": refresh_interval}
-    state = init_state(g, model=model, hops=hops, **kwargs)
-    evaluations = 0
-    last_report = None
-
-    def evaluate(node):
-        nonlocal evaluations, last_report
-        evaluations += 1
-        last_report = eval_gain(state, node)
-        return last_report.gain
-
+    state = init_state(g, model=model, hops=hops)
     if bootstrap == "none":
-        heap = []
-        best_report = None
-        for v in range(g.node_count):
-            gain = evaluate(v)
-            heap.append(CelfEntry(v, gain, 0))
-            if best_report is None or (gain, -v) > (best_report.gain, -best_report.candidate):
-                best_report = last_report
-        last_report = best_report
+        bounds = [math.inf] * g.node_count
     else:
-        ub = upper_bounds(g, hops).values.tolist()
-        heap = [CelfEntry(v, ub[v], -1) for v in range(g.node_count)]
+        bounds = upper_bounds(g, hops).values.tolist()
+    # (-cached gain, node, round evaluated in): the largest gain pops first,
+    # ties toward the smaller id; round -1 marks a bound never evaluated.
+    heap = [(-b, v, -1) for v, b in enumerate(bounds)]
     heapq.heapify(heap)
-
+    evaluations = 0
+    best = None
     seeds = []
     gains = []
     while len(seeds) < k:
-        entry = heapq.heappop(heap)
-        if entry.evaluated_at == len(seeds):
-            node = entry.node
-            if last_report is None or last_report.candidate != node or last_report.state_version != state.version:
-                evaluate(node)
-            commit(state, last_report)
+        _, node, evaluated_in = heapq.heappop(heap)
+        if evaluated_in == len(seeds):
+            # Every report of this round is still queued at its own gain, so
+            # a fresh pop is the round's best report.
+            commit(state, best)
             seeds.append(node)
-            gains.append(last_report.gain)
-        else:
-            entry.cached_gain = evaluate(entry.node)
-            entry.evaluated_at = len(seeds)
-            heapq.heappush(heap, entry)
+            gains.append(best.gain)
+            best = None
+            continue
+        report = eval_gain(state, node)
+        evaluations += 1
+        if best is None or (report.gain, -node) > (best.gain, -best.candidate):
+            best = report
+        heapq.heappush(heap, (-report.gain, node, len(seeds)))
     elapsed = time.perf_counter() - t0
     name = ("twohop" if hops == 2 else "onehop") + ("-o" if bootstrap == "none" else "")
     return SeedResult(

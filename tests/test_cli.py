@@ -140,6 +140,20 @@ class TestEvaluate:
         seeds.write_text("[99]")
         assert main(["evaluate", "--graph", chain_file, "--seeds-file", str(seeds)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[null]", "entry 0: invalid seed id None"),
+            ('{"seeds": 5}', "expected a JSON list of ids"),
+            ("10\nx\n", "line 2: invalid seed id 'x'"),
+        ],
+    )
+    def test_malformed_seed_file_is_data_error(self, chain_file, tmp_path, capsys, text, message):
+        seeds = tmp_path / "bad.txt"
+        seeds.write_text(text)
+        assert main(["evaluate", "--graph", chain_file, "--seeds-file", str(seeds)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_drawn_seed_recorded(self, chain_file, tmp_path):
         seeds = tmp_path / "s.json"
         seeds.write_text("[10]")

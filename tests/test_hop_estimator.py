@@ -162,14 +162,19 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("hops", [1, 2])
     def test_spread_matches_enumeration(self, model, hops):
         rng = np.random.default_rng(202)
-        for _ in range(60):
-            g = random_ic_graph(rng, n_max=7, m_max=10) if model == "ic" else random_lt_graph(rng, n_max=6, m_max=8)
-            k = int(rng.integers(1, g.node_count + 1))
-            seeds = rng.choice(g.node_count, size=k, replace=False)
-            s = init_state(g, model, hops)
-            for u in seeds:
-                commit(s, eval_gain(s, int(u)))
-            assert spread(s) == pytest.approx(exact_spread(g, seeds, model, hops), abs=1e-9)
+        # The second pass adds weight-1 edges and 2-cycles (saturated nodes under LT).
+        for p_one_frac in (0.0, 0.15):
+            for _ in range(60):
+                if model == "ic":
+                    g = random_ic_graph(rng, n_max=7, m_max=10, p_one_frac=p_one_frac)
+                else:
+                    g = random_lt_graph(rng, n_max=6, m_max=8, p_one_frac=p_one_frac)
+                k = int(rng.integers(1, g.node_count + 1))
+                seeds = rng.choice(g.node_count, size=k, replace=False)
+                s = init_state(g, model, hops)
+                for u in seeds:
+                    commit(s, eval_gain(s, int(u)))
+                assert spread(s) == pytest.approx(exact_spread(g, seeds, model, hops), abs=1e-9)
 
 
 class TestClosedFormEquivalence:

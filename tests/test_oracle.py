@@ -47,6 +47,10 @@ class TestSimulateOnce:
         with pytest.raises(GraphError):
             simulate_once(certain_chain(), [99], "ic")
 
+    def test_invalid_seed_message_names_the_bad_id(self):
+        with pytest.raises(GraphError, match="invalid seed id -1$"):
+            simulate_once(certain_chain(), [-1, 2], "ic")
+
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             simulate_once(certain_chain(), [0], "sir")
@@ -105,6 +109,12 @@ class TestHopProfile:
         assert means[0] == 1.0
         assert (np.diff(means) >= 0).all()
         assert means[-1] == 3.0
+
+    def test_rejects_unknown_model_and_no_sims(self, chain_graph):
+        with pytest.raises(ValueError, match="unknown diffusion model"):
+            estimate_hop_profile(chain_graph, [0], "sir", n_sims=5)
+        with pytest.raises(ValueError, match="n_sims"):
+            estimate_hop_profile(chain_graph, [0], "ic", n_sims=0)
 
 
 class TestExactSpread:
@@ -175,6 +185,12 @@ class TestSpreadTable:
 
     def test_empty_seed_set_is_zero(self, chain_graph):
         assert ExactSpreadTable(chain_graph, "ic", None).spread([]) == 0.0
+
+    def test_invalid_seeds_are_graph_errors(self, chain_graph):
+        table = ExactSpreadTable(chain_graph, "ic", None)
+        for seeds, bad in (([3], 3), ([-1], -1), ([0, 5], 5)):
+            with pytest.raises(GraphError, match=f"invalid seed id {bad}$"):
+                table.spread(seeds)
 
 
 class TestBruteForceOptimal:

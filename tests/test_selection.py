@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ic_graph, random_lt_graph
+from hopspread import selection
 from hopspread.graph import Graph, WeightModel, apply_weight_model
 from hopspread.generate import power_law_graph
 from hopspread.oracle import ExactSpreadTable
@@ -57,13 +58,31 @@ class TestCelfMatchesNaive:
             assert np.allclose(with_ub.marginal_gains, without.marginal_gains, atol=1e-12)
             assert with_ub.evaluations < without.evaluations // 10
 
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    @pytest.mark.parametrize("hops", [1, 2])
+    @pytest.mark.parametrize("bootstrap", ["upper_bounds", "none"])
+    def test_no_candidate_evaluated_twice_at_one_state_version(self, monkeypatch, model, hops, bootstrap):
+        g = apply_weight_model(power_law_graph(1200, 5000, rng_seed=3), WeightModel("wc"))
+        calls = []
+        eval_gain = selection.eval_gain
+
+        def recording_eval_gain(state, node):
+            calls.append((node, state.version))
+            return eval_gain(state, node)
+
+        monkeypatch.setattr(selection, "eval_gain", recording_eval_gain)
+        res = greedy_celf(g, 10, model=model, hops=hops, bootstrap=bootstrap)
+        assert len(calls) == res.evaluations
+        assert len(set(calls)) == len(calls)
+
 
 class TestSelectionContracts:
     def test_tie_break_on_symmetric_components(self):
         g = Graph(4, [0, 2], [1, 3], [1.0, 1.0])
-        res = greedy_celf(g, 2, model="ic", hops=2)
-        assert res.seeds == [0, 2]
-        assert res.spread == pytest.approx(4.0, abs=1e-12)
+        for bootstrap in ("upper_bounds", "none"):
+            res = greedy_celf(g, 2, model="ic", hops=2, bootstrap=bootstrap)
+            assert res.seeds == [0, 2]
+            assert res.spread == pytest.approx(4.0, abs=1e-12)
 
     def test_chain_first_seed(self, chain_graph):
         for bootstrap in ("upper_bounds", "none"):
