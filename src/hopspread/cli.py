@@ -70,7 +70,7 @@ def _weight_model(args):
     try:
         return WeightModel.parse(text, scale_factor=args.scale), text
     except GraphError as e:
-        raise ConfigError(str(e)) from None
+        raise ConfigError(f"--model {text} --scale {args.scale:g}: {e}") from None
 
 
 def _load_weighted(args):
@@ -163,6 +163,8 @@ def _check_sim_flags(args):
         raise ConfigError("--n-sims must be at least 1")
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
+    if args.hop_limit is not None and args.hop_limit < 0:
+        raise ConfigError("--hop-limit must be non-negative")
 
 
 def cmd_evaluate(args):

@@ -51,7 +51,7 @@ class Graph:
         """Build both adjacency views from parallel edge arrays.
 
         Rejects self-loops, duplicate (u, v) pairs, out-of-range endpoints,
-        and probabilities outside [0, 1].
+        and probabilities outside [0, 1]. Errors name nodes by `original_ids`.
         """
         n = int(node_count)
         src = np.asarray(src, dtype=np.int64)
@@ -62,8 +62,13 @@ class Graph:
         m = len(src)
         if m and (src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n):
             raise GraphError("edge endpoint outside [0, node_count)")
+        if original_ids is None:
+            original_ids = np.arange(n, dtype=np.int64)
+        original_ids = np.asarray(original_ids, dtype=np.int64)
+        if len(original_ids) != n:
+            raise GraphError("original_ids length must equal node_count")
         if m and (src == dst).any():
-            u = int(src[(src == dst).argmax()])
+            u = int(original_ids[src[(src == dst).argmax()]])
             raise GraphError(f"self-loop at node {u}")
         if m and ((prob < 0.0) | (prob > 1.0)).any():
             raise GraphError("edge probability outside [0, 1]")
@@ -76,7 +81,7 @@ class Graph:
             dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
             if dup.any():
                 i = int(dup.argmax())
-                raise GraphError(f"duplicate edge {int(src[i])}->{int(dst[i])}")
+                raise GraphError(f"duplicate edge {int(original_ids[src[i]])}->{int(original_ids[dst[i]])}")
 
         idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
         self.node_count = n
@@ -92,12 +97,7 @@ class Graph:
         self.in_src = src[in_order].astype(idx_dtype)
         self.in_prob = prob[in_order]
         self._in_to_out = in_order.astype(np.int64)
-
-        if original_ids is None:
-            original_ids = np.arange(n, dtype=np.int64)
-        self.original_ids = np.asarray(original_ids, dtype=np.int64)
-        if len(self.original_ids) != n:
-            raise GraphError("original_ids length must equal node_count")
+        self.original_ids = original_ids
 
     def out_edges(self, u):
         """(targets, probabilities) array views for node u's outgoing edges."""
@@ -173,8 +173,8 @@ class WeightModel:
                 raise GraphError("uniform weight model needs p in [0, 1]")
         if self.variant == "trivalency" and self.rng_seed is None:
             raise GraphError("trivalency weight model needs an rng seed")
-        if not self.scale_factor > 0.0:
-            raise GraphError("scale factor must be positive")
+        if not 0.0 < self.scale_factor < np.inf:
+            raise GraphError(f"scale factor must be positive and finite, got {self.scale_factor}")
 
     @classmethod
     def parse(cls, text, scale_factor=1.0):
@@ -183,10 +183,15 @@ class WeightModel:
             return cls("wc", scale_factor=scale_factor)
         if text == "file":
             return cls("from_file", scale_factor=scale_factor)
-        if text.startswith("tri:"):
-            return cls("trivalency", rng_seed=int(text[4:]), scale_factor=scale_factor)
-        if text.startswith("uniform:"):
-            return cls("uniform", p=float(text[8:]), scale_factor=scale_factor)
+        name, sep, arg = text.partition(":")
+        if sep and name in ("tri", "uniform"):
+            try:
+                value = int(arg) if name == "tri" else float(arg)
+            except ValueError:
+                raise GraphError(f"cannot parse weight model {text!r}: {arg!r} is not a number") from None
+            if name == "tri":
+                return cls("trivalency", rng_seed=value, scale_factor=scale_factor)
+            return cls("uniform", p=value, scale_factor=scale_factor)
         raise GraphError(f"cannot parse weight model {text!r}")
 
 
@@ -213,7 +218,10 @@ def load_edge_list(source, num_nodes=None):
         probs = array("d")
         for lineno, raw in enumerate(fh, start=1):
             if isinstance(raw, bytes):
-                raw = raw.decode("utf-8")
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise GraphError(f"line {lineno}: byte 0x{raw[e.start]:02x} is not UTF-8") from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -237,8 +245,11 @@ def load_edge_list(source, num_nodes=None):
                     raise GraphError(f"line {lineno}: non-numeric probability") from None
                 if not 0.0 <= p <= 1.0:
                     raise GraphError(f"line {lineno}: probability {p} outside [0, 1]")
-            srcs.append(u)
-            dsts.append(v)
+            try:
+                srcs.append(u)
+                dsts.append(v)
+            except OverflowError:
+                raise GraphError(f"line {lineno}: node id beyond 2^63 - 1 in {line!r}") from None
             probs.append(p)
     finally:
         if close:
@@ -248,7 +259,6 @@ def load_edge_list(source, num_nodes=None):
     dst = np.frombuffer(dsts, dtype=np.int64).copy() if dsts else np.zeros(0, dtype=np.int64)
     prob = np.frombuffer(probs, dtype=np.float64).copy() if probs else np.zeros(0)
 
-    _reject_duplicate_pairs(src, dst)
     if num_nodes is not None:
         n = int(num_nodes)
         if len(src) and max(src.max(), dst.max()) >= n:
@@ -259,23 +269,6 @@ def load_edge_list(source, num_nodes=None):
     remap_src = np.searchsorted(ids, src)
     remap_dst = np.searchsorted(ids, dst)
     return Graph(len(ids), remap_src, remap_dst, prob, original_ids=ids)
-
-
-def _reject_duplicate_pairs(src, dst):
-    # Report duplicates in the input's own id space (the builder would only
-    # see densified ids).
-    if len(src) < 2:
-        return
-    top = max(int(src.max()), int(dst.max()))
-    if top >= 2**32:
-        return  # pair key would overflow; the builder's check still catches dups
-    span = np.uint64(top + 1)
-    key = src.astype(np.uint64) * span + dst.astype(np.uint64)
-    key.sort()
-    dup = key[1:] == key[:-1]
-    if dup.any():
-        k = key[1:][dup.argmax()]
-        raise GraphError(f"duplicate edge {int(k // span)}->{int(k % span)}")
 
 
 def apply_weight_model(g, model):

@@ -6,8 +6,8 @@ two-hop out-neighborhood. `HopState` stores survival complements
 q = 1 - activation probability, which stay well conditioned when
 activation approaches 1.
 
-Probing and committing are split: `eval_gain` leaves the state as it found
-it and returns a `GainReport` holding the would-be values, so a selection
+Probing and committing are split: `eval_gain` writes nothing to the state
+and returns a `GainReport` holding the would-be values, so a selection
 loop can probe many candidates and commit only the winner. A report
 remembers the state it was computed against and that state's version
 stamp, and `commit` refuses any other.
@@ -15,8 +15,10 @@ stamp, and `commit` refuses any other.
 An evaluation updates the candidate's out-neighbors' one-hop survival by
 one factor (cascade) or one subtracted weight (threshold), then recomputes
 the two-hop survival of every node those one-hop changes reach directly
-from its incoming edges, the same closed form a full recompute uses. No
-survival is ever divided out, and q2 accumulates no drift of its own.
+from its incoming edges. No survival is ever divided out: q1 changes by at
+most one factor or weight per seed and q2 is always the closed form of q1,
+so the state stays within rounding of the closed form of its seed set and
+needs no periodic recomputation.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import numpy as np
 
 from ._segments import gather_rows, segment_prod, segment_sum, sorted_unique
 from .graph import GraphError, validate_lt
-
-DEFAULT_REFRESH_INTERVAL = 1024
 
 
 class StaleReportError(RuntimeError):
@@ -54,13 +54,7 @@ class HopState:
 
     q1[v] = P[v not active within one hop], q2[v] likewise for two hops
     (only present when hops == 2). Seeds hold q = 0. `sigma` tracks the
-    running hop-limited spread; a full recomputation every
-    `refresh_interval` commits bounds the float drift of the incrementally
-    updated q1 on long seed sequences.
-
-    States are not thread-safe: a two-hop eval_gain briefly writes the
-    would-be one-hop survivals into q1 and restores them in a `finally`
-    block before it returns.
+    running hop-limited spread.
     """
 
     __slots__ = (
@@ -73,11 +67,9 @@ class HopState:
         "q2",
         "sigma",
         "version",
-        "commit_count",
-        "refresh_interval",
     )
 
-    def __init__(self, graph, model, hops, refresh_interval=DEFAULT_REFRESH_INTERVAL):
+    def __init__(self, graph, model, hops):
         n = graph.node_count
         self.graph = graph
         self.model = model
@@ -88,8 +80,6 @@ class HopState:
         self.q2 = np.ones(n) if hops == 2 else None
         self.sigma = 0.0
         self.version = 0
-        self.commit_count = 0
-        self.refresh_interval = refresh_interval
 
     def spread(self):
         return self.sigma
@@ -100,7 +90,7 @@ class HopState:
         return 1.0 - q
 
 
-def init_state(g, model="ic", hops=2, refresh_interval=DEFAULT_REFRESH_INTERVAL):
+def init_state(g, model="ic", hops=2):
     """Fresh empty-seed-set state: all activation probabilities zero."""
     if model not in ("ic", "lt"):
         raise ValueError(f"unknown diffusion model {model!r}")
@@ -110,7 +100,7 @@ def init_state(g, model="ic", hops=2, refresh_interval=DEFAULT_REFRESH_INTERVAL)
         bad = validate_lt(g)
         if bad:
             raise GraphError(f"{len(bad)} nodes exceed unit incoming weight (first: {bad[0]})")
-    return HopState(g, model, hops, refresh_interval)
+    return HopState(g, model, hops)
 
 
 def eval_gain(state, u):
@@ -127,8 +117,8 @@ def eval_gain(state, u):
     keep = ~s.seed_mask[nbrs]
     ws = nbrs[keep].astype(np.int64)
     q1w = q1[ws]
-    q1w_new = q1w * (1.0 - ps[keep]) if s.model == "ic" else q1w - ps[keep]
-    q1w_new = np.clip(q1w_new, 0.0, 1.0)
+    # LT in-weights may sum to 1 + LT_WEIGHT_TOLERANCE, so only q1 - b can leave [0, 1].
+    q1w_new = q1w * (1.0 - ps[keep]) if s.model == "ic" else np.maximum(q1w - ps[keep], 0.0)
     q1_nodes = np.concatenate(([u], ws))
     q1_values = np.concatenate(([0.0], q1w_new))
     if s.hops == 1:
@@ -140,13 +130,9 @@ def eval_gain(state, u):
     reach = sorted_unique(np.concatenate((ws, g.out_dst[gather_rows(g.out_indptr, ws)[0]])))
     t = reach[~s.seed_mask[reach] & (reach != u)]
     edges, seg = gather_rows(g.in_indptr, t)
-    src = g.in_src[edges]
-    q1_old = q1[q1_nodes]
-    q1[q1_nodes] = q1_values
-    try:
-        pi1_src = 1.0 - q1[src]
-    finally:
-        q1[q1_nodes] = q1_old
+    q1_post = q1.copy()
+    q1_post[q1_nodes] = q1_values
+    pi1_src = 1.0 - q1_post[g.in_src[edges]]
     t_values = _survival(s.model, g.in_prob[edges], pi1_src, seg)
     q2 = s.q2
     gain = q2[u] + (q2[t] - t_values).sum()
@@ -174,9 +160,6 @@ def commit(state, report):
     state.seeds.append(u)
     state.sigma += report.gain
     state.version += 1
-    state.commit_count += 1
-    if state.refresh_interval and state.commit_count % state.refresh_interval == 0:
-        _refresh(state)
     return state
 
 
@@ -189,19 +172,4 @@ def _survival(model, p, pi_src, seg):
     """Per-segment survival given incoming edge weights and source activations."""
     if model == "ic":
         return segment_prod(1.0 - p * pi_src, seg)
-    return np.clip(1.0 - segment_sum(p * pi_src, seg), 0.0, 1.0)
-
-
-def _refresh(s):
-    """Recompute survivals and spread from the seed set alone."""
-    g = s.graph
-    seeds = np.array(s.seeds, dtype=np.int64)
-    q1 = _survival(s.model, g.in_prob, s.seed_mask[g.in_src], g.in_indptr)
-    q1[seeds] = 0.0
-    if s.hops == 2:
-        q2 = _survival(s.model, g.in_prob, 1.0 - q1[g.in_src], g.in_indptr)
-        q2[seeds] = 0.0
-        s.q2 = q2
-    s.q1 = q1
-    qh = s.q2 if s.hops == 2 else s.q1
-    s.sigma = float((1.0 - qh).sum())
+    return np.maximum(1.0 - segment_sum(p * pi_src, seg), 0.0)

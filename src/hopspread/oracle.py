@@ -112,6 +112,8 @@ def estimate_spread(g, seeds, model="ic", hop_limit=None, n_sims=10000, rng_seed
     """
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
+    if hop_limit is not None and hop_limit < 0:
+        raise ValueError(f"hop_limit must be >= 0, got {hop_limit}")
     if model not in ("ic", "lt"):
         raise ValueError(f"unknown diffusion model {model!r}")
     seed_ids = _check_seeds(g, seeds)
@@ -260,14 +262,13 @@ class ExactSpreadTable:
         if n > 20:
             raise ValueError("instance too large for subset spread table")
         self.node_count = n
-        weights = np.zeros((n, 1 << n))
+        # Probability mass of each activator mask, summed over nodes.
+        dsum = np.zeros(1 << n)
         for src, dst, prob, live in _outcome_chunks(g, model):
             bits = np.repeat(np.int64(1) << np.arange(n, dtype=np.int64)[:, None], len(prob), axis=1)
             acts = _propagate(bits, src, dst, live, hop_limit)
-            for x in range(n):
-                weights[x] += np.bincount(acts[x], weights=prob, minlength=1 << n)
-        # Subset-sum (zeta) transform over activator masks, summed over nodes.
-        dsum = weights.sum(axis=0)
+            dsum += np.bincount(acts.ravel(), weights=np.tile(prob, n), minlength=1 << n)
+        # Subset-sum (zeta) transform over activator masks.
         for bit in range(n):
             step = 1 << bit
             idx = np.nonzero(np.arange(1 << n) & step)[0]

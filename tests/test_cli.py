@@ -91,6 +91,36 @@ class TestSelect:
         bad.write_text("0 0\n")
         assert main(["select", "--graph", str(bad), "--algo", "twohop", "--k", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"0 1\n9223372036854775808 1\n", "line 2: node id beyond 2^63 - 1"),
+            (b"0 1\n1 \xff2\n", "line 2: byte 0xff is not UTF-8"),
+        ],
+        ids=["id-beyond-2^63", "not-utf8"],
+    )
+    def test_hostile_graph_is_located_data_error(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(text)
+        assert main(["select", "--graph", str(bad), "--algo", "twohop", "--k", "1"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["select", "--model", "tri:abc", "--algo", "onehop", "--k", "1"], "--model tri:abc"),
+            (["select", "--model", "file", "--scale", "inf", "--algo", "onehop", "--k", "1"], "--scale inf"),
+            (["evaluate", "--seeds-file", "seeds.txt", "--hop-limit", "-1"], "--hop-limit"),
+        ],
+        ids=["model", "scale", "hop-limit"],
+    )
+    def test_bad_flag_value_is_config_error_naming_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.txt").write_text("10 20 0\n20 30 0.5\n")
+        (tmp_path / "seeds.txt").write_text("10\n")
+        assert main(argv + ["--graph", "g.txt"]) == 1
+        assert flag in capsys.readouterr().err
+
     def test_k_too_large_is_data_error(self, chain_file):
         assert main(["select", "--graph", chain_file, "--algo", "twohop", "--k", "99"]) == 2
 

@@ -53,9 +53,17 @@ class TestLoadEdgeList:
         with pytest.raises(GraphError, match="duplicate"):
             load_edge_list(b"0 1\n0 1\n")
 
-    def test_duplicate_edge_reported_in_original_ids(self):
-        with pytest.raises(GraphError, match="duplicate edge 10->50"):
-            load_edge_list(b"10 50\n50 90\n10 50\n")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"10 50\n50 90\n10 50\n", "duplicate edge 10->50$"),
+            (b"4294967296 4294967297\n4294967296 4294967297\n", "duplicate edge 4294967296->4294967297$"),
+        ],
+        ids=["small-ids", "ids-beyond-2^32"],
+    )
+    def test_duplicate_edge_reported_in_original_ids(self, text, message):
+        with pytest.raises(GraphError, match=message):
+            load_edge_list(text)
 
     def test_negative_id_rejected(self):
         with pytest.raises(GraphError, match="line 1"):
@@ -182,16 +190,18 @@ class TestWeightModels:
         assert WeightModel.parse("tri:5").rng_seed == 5
         assert WeightModel.parse("uniform:0.2").p == 0.2
         assert WeightModel.parse("file").variant == "from_file"
-        with pytest.raises(GraphError):
-            WeightModel.parse("bogus")
+        for bad in ("bogus", "tri:abc", "uniform:x"):
+            with pytest.raises(GraphError, match="cannot parse weight model"):
+                WeightModel.parse(bad)
 
     def test_model_validation(self):
         with pytest.raises(GraphError):
             WeightModel("uniform", p=1.5)
         with pytest.raises(GraphError):
             WeightModel("trivalency")
-        with pytest.raises(GraphError):
-            WeightModel("wc", scale_factor=0.0)
+        for scale in (0.0, float("inf"), float("nan")):
+            with pytest.raises(GraphError, match="scale factor"):
+                WeightModel("wc", scale_factor=scale)
 
 
 class TestValidateLt:

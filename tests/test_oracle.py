@@ -82,6 +82,8 @@ class TestEstimateSpread:
     def test_nsims_validation(self, chain_graph):
         with pytest.raises(ValueError):
             estimate_spread(chain_graph, [0], n_sims=0)
+        with pytest.raises(ValueError, match="hop_limit"):
+            estimate_spread(chain_graph, [0], hop_limit=-1, n_sims=10)
 
     @pytest.mark.parametrize("model", ["ic", "lt"])
     def test_sort_dedup_matches_np_unique(self, model, monkeypatch):
