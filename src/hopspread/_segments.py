@@ -1,9 +1,9 @@
-"""Segmented reductions over CSR value arrays, and the row gather feeding them.
+"""Segmented sums over CSR value arrays, and the row gather feeding them.
 
 `np.ufunc.reduceat` returns the element at the start index for empty
-segments and rejects start indices at the end of the array, so both helpers
-reduce only over the non-empty segments: their start offsets tile the value
-array exactly, and empty segments keep the identity element.
+segments and rejects start indices at the end of the array, so
+`segment_sum` reduces only over the non-empty segments: their start offsets
+tile the value array exactly, and empty segments keep zero.
 """
 
 import numpy as np
@@ -15,15 +15,6 @@ def segment_sum(values, indptr):
     nonempty = indptr[:-1] < indptr[1:]
     if nonempty.any():
         out[nonempty] = np.add.reduceat(values, indptr[:-1][nonempty])
-    return out
-
-
-def segment_prod(values, indptr):
-    """Product of `values[indptr[i]:indptr[i+1]]` for every segment i."""
-    out = np.ones(len(indptr) - 1)
-    nonempty = indptr[:-1] < indptr[1:]
-    if nonempty.any():
-        out[nonempty] = np.multiply.reduceat(values, indptr[:-1][nonempty])
     return out
 
 

@@ -62,7 +62,7 @@ def _parse_list(text, kind, what):
     return values
 
 
-def _weight_model(args):
+def _weight_model(args, scale_flag="--scale"):
     text = args.model
     if text == "tri":
         seed = args.rng_seed if args.rng_seed is not None else _fresh_seed()
@@ -70,7 +70,7 @@ def _weight_model(args):
     try:
         return WeightModel.parse(text, scale_factor=args.scale), text
     except GraphError as e:
-        raise ConfigError(f"--model {text} --scale {args.scale:g}: {e}") from None
+        raise ConfigError(f"--model {text} {scale_flag} {args.scale:g}: {e}") from None
 
 
 def _load_weighted(args):
@@ -252,7 +252,7 @@ def cmd_bench(args):
         base = load_edge_list(args.graph, num_nodes=args.num_nodes)
     lines = ["algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds"]
     for scale in scales:
-        model, _ = _weight_model(argparse.Namespace(model=args.model, rng_seed=rng_seed, scale=scale))
+        model, _ = _weight_model(argparse.Namespace(model=args.model, rng_seed=rng_seed, scale=scale), "--scales")
         g = apply_weight_model(base, model)
         for algo in algos:
             for k in ks:

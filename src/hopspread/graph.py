@@ -2,7 +2,8 @@
 
 A `Graph` is immutable after construction and keeps two CSR views: outgoing
 edges sorted by (source, target) and incoming edges sorted by (target,
-source). Node ids are densified to 0..n-1; `original_ids` maps internal ids
+source), and `out_to_in` gives each outgoing edge's index in the incoming
+view. Node ids are densified to 0..n-1; `original_ids` maps internal ids
 back to the ids seen in the input so results can be reported in the caller's
 id space.
 """
@@ -43,7 +44,7 @@ class Graph:
         "in_src",
         "in_prob",
         "original_ids",
-        "_in_to_out",
+        "out_to_in",
         "__weakref__",
     )
 
@@ -96,7 +97,8 @@ class Graph:
         np.cumsum(np.bincount(dst, minlength=n), out=self.in_indptr[1:])
         self.in_src = src[in_order].astype(idx_dtype)
         self.in_prob = prob[in_order]
-        self._in_to_out = in_order.astype(np.int64)
+        self.out_to_in = np.empty(m, dtype=np.int32 if m <= np.iinfo(np.int32).max else np.int64)
+        self.out_to_in[in_order] = np.arange(m, dtype=self.out_to_in.dtype)
         self.original_ids = original_ids
 
     def out_edges(self, u):
@@ -141,8 +143,9 @@ class Graph:
         g.out_prob = out_prob
         g.in_indptr = self.in_indptr
         g.in_src = self.in_src
-        g.in_prob = out_prob[self._in_to_out]
-        g._in_to_out = self._in_to_out
+        g.in_prob = np.empty(self.edge_count)
+        g.in_prob[self.out_to_in] = out_prob
+        g.out_to_in = self.out_to_in
         g.original_ids = self.original_ids
         return g
 
@@ -183,15 +186,18 @@ class WeightModel:
             return cls("wc", scale_factor=scale_factor)
         if text == "file":
             return cls("from_file", scale_factor=scale_factor)
-        name, sep, arg = text.partition(":")
-        if sep and name in ("tri", "uniform"):
+        if text.startswith("tri:"):
             try:
-                value = int(arg) if name == "tri" else float(arg)
+                seed = int(text[4:])
             except ValueError:
-                raise GraphError(f"cannot parse weight model {text!r}: {arg!r} is not a number") from None
-            if name == "tri":
-                return cls("trivalency", rng_seed=value, scale_factor=scale_factor)
-            return cls("uniform", p=value, scale_factor=scale_factor)
+                raise GraphError(f"cannot parse weight model {text!r}: {text[4:]!r} is not an integer") from None
+            return cls("trivalency", rng_seed=seed, scale_factor=scale_factor)
+        if text.startswith("uniform:"):
+            try:
+                p = float(text[8:])
+            except ValueError:
+                raise GraphError(f"cannot parse weight model {text!r}: {text[8:]!r} is not a number") from None
+            return cls("uniform", p=p, scale_factor=scale_factor)
         raise GraphError(f"cannot parse weight model {text!r}")
 
 

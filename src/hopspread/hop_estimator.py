@@ -18,14 +18,18 @@ the two-hop survival of every node those one-hop changes reach directly
 from its incoming edges. No survival is ever divided out: q1 changes by at
 most one factor or weight per seed and q2 is always the closed form of q1,
 so the state stays within rounding of the closed form of its seed set and
-needs no periodic recomputation.
+needs no periodic recomputation. The recomputation reads the would-be
+one-hop values of the candidate and its out-neighbors from the report's own
+arrays, placed at their out-edges' slots in the gathered incoming edges
+(found through `Graph.out_to_in`), so an evaluation costs the size of its
+neighborhood and writes only arrays it allocated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._segments import gather_rows, segment_prod, segment_sum, sorted_unique
+from ._segments import gather_rows
 from .graph import GraphError, validate_lt
 
 
@@ -115,7 +119,7 @@ def eval_gain(state, u):
 
     nbrs, ps = g.out_edges(u)
     keep = ~s.seed_mask[nbrs]
-    ws = nbrs[keep].astype(np.int64)
+    ws = nbrs[keep]
     q1w = q1[ws]
     # LT in-weights may sum to 1 + LT_WEIGHT_TOLERANCE, so only q1 - b can leave [0, 1].
     q1w_new = q1w * (1.0 - ps[keep]) if s.model == "ic" else np.maximum(q1w - ps[keep], 0.0)
@@ -126,14 +130,25 @@ def eval_gain(state, u):
         return GainReport(s, u, max(float(gain), 0.0), q1_nodes, q1_values, None, None)
 
     # Only C = {u} + ws change one-hop survival, so only out(C) can change
-    # two-hop survival; recompute those from all their incoming edges.
-    reach = sorted_unique(np.concatenate((ws, g.out_dst[gather_rows(g.out_indptr, ws)[0]])))
-    t = reach[~s.seed_mask[reach] & (reach != u)]
-    edges, seg = gather_rows(g.in_indptr, t)
-    q1_post = q1.copy()
-    q1_post[q1_nodes] = q1_values
-    pi1_src = 1.0 - q1_post[g.in_src[edges]]
-    t_values = _survival(s.model, g.in_prob[edges], pi1_src, seg)
+    # two-hop survival; recompute those from all their incoming edges. In
+    # incoming-edge order, C's out-edges are grouped by target, ascending.
+    c_edges, c_seg = gather_rows(g.out_indptr, q1_nodes)
+    c_in = g.out_to_in[c_edges]
+    order = np.argsort(c_in)
+    c_in = c_in[order]
+    c_dst = g.out_dst[c_edges[order]]
+    first = np.ones(len(c_dst), dtype=bool)
+    first[1:] = c_dst[1:] != c_dst[:-1]
+    reach = c_dst[first]
+    edges, seg = gather_rows(g.in_indptr, reach)
+    # Sources outside C keep the state's one-hop survival; each out-edge of C
+    # takes its source's new value at its offset in its target's segment.
+    q1_src = q1[g.in_src[edges]]
+    q1_src[c_in - g.in_indptr[c_dst] + seg[np.cumsum(first) - 1]] = np.repeat(q1_values, np.diff(c_seg))[order]
+    live = ~s.seed_mask[reach] & (reach != u)
+    t = reach[live]
+    pi1_src = np.subtract(1.0, q1_src, out=q1_src)
+    t_values = _survival(s.model, g.in_prob[edges], pi1_src, seg[:-1])[live]
     q2 = s.q2
     gain = q2[u] + (q2[t] - t_values).sum()
     q2_nodes = np.concatenate(([u], t))
@@ -168,8 +183,11 @@ def spread(state):
     return state.sigma
 
 
-def _survival(model, p, pi_src, seg):
-    """Per-segment survival given incoming edge weights and source activations."""
+def _survival(model, p, pi_src, starts):
+    """Survival of each reached node from its incoming edge weights `p` and
+    source activations `pi_src`, both gathered copies that are overwritten.
+    Every reached node has an in-edge from C, so no segment is empty."""
+    x = np.multiply(p, pi_src, out=p)
     if model == "ic":
-        return segment_prod(1.0 - p * pi_src, seg)
-    return np.maximum(1.0 - segment_sum(p * pi_src, seg), 0.0)
+        return np.multiply.reduceat(np.subtract(1.0, x, out=x), starts)
+    return np.maximum(1.0 - np.add.reduceat(x, starts), 0.0)

@@ -111,8 +111,9 @@ class TestSelect:
             (["select", "--model", "tri:abc", "--algo", "onehop", "--k", "1"], "--model tri:abc"),
             (["select", "--model", "file", "--scale", "inf", "--algo", "onehop", "--k", "1"], "--scale inf"),
             (["evaluate", "--seeds-file", "seeds.txt", "--hop-limit", "-1"], "--hop-limit"),
+            (["bench", "--model", "file", "--scales", "inf", "--algos", "highdegree", "--ks", "1"], "--scales inf"),
         ],
-        ids=["model", "scale", "hop-limit"],
+        ids=["model", "scale", "hop-limit", "bench-scales"],
     )
     def test_bad_flag_value_is_config_error_naming_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)

@@ -119,6 +119,19 @@ class TestGraphConstruction:
                 in_edges.update((int(u), v, float(p)) for u, p in zip(srcs, ps))
             assert out_edges == in_edges
 
+    def test_out_to_in_maps_each_out_edge_to_its_in_edge(self):
+        rng = np.random.default_rng(12)
+        for i in range(40):
+            g = random_ic_graph(rng, n_max=12, m_max=30)
+            if i % 2:
+                g = apply_weight_model(g, WeightModel("trivalency", rng_seed=i))
+            out_src = np.repeat(np.arange(g.node_count), g.out_degrees())
+            in_dst = np.repeat(np.arange(g.node_count), g.in_degrees())
+            assert np.array_equal(np.sort(g.out_to_in), np.arange(g.edge_count))
+            assert np.array_equal(g.in_src[g.out_to_in], out_src)
+            assert np.array_equal(in_dst[g.out_to_in], g.out_dst)
+            assert np.array_equal(g.in_prob[g.out_to_in], g.out_prob)
+
 
 class TestWeightModels:
     def test_wc_star(self):

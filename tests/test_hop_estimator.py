@@ -127,8 +127,7 @@ class TestStateContracts:
                         eval_gain(s, bad)
                 if hops == 2:
                     with monkeypatch.context() as mp:
-                        mp.setattr(hop_estimator, "segment_prod", failing_reduction)
-                        mp.setattr(hop_estimator, "segment_sum", failing_reduction)
+                        mp.setattr(hop_estimator, "_survival", failing_reduction)
                         for v in np.flatnonzero(~s.seed_mask):
                             with pytest.raises(RuntimeError, match="injected"):
                                 eval_gain(s, int(v))

@@ -1,16 +1,12 @@
-"""Segmented CSR reductions, including the empty-segment corner cases."""
+"""Segmented CSR sums and row gathers, including the empty-segment corner cases."""
 
 import numpy as np
 
-from hopspread._segments import gather_rows, segment_prod, segment_sum, sorted_unique
+from hopspread._segments import gather_rows, segment_sum, sorted_unique
 
 
 def brute_sum(values, indptr):
     return np.array([values[a:b].sum() for a, b in zip(indptr[:-1], indptr[1:])])
-
-
-def brute_prod(values, indptr):
-    return np.array([values[a:b].prod() for a, b in zip(indptr[:-1], indptr[1:])])
 
 
 def brute_gather(indptr, rows):
@@ -30,21 +26,18 @@ def test_trailing_empty_segments_do_not_truncate_previous():
     values = np.array([0.5, 0.25, 0.75])
     indptr = np.array([0, 1, 3, 3, 3])
     assert np.allclose(segment_sum(values, indptr), [0.5, 1.0, 0.0, 0.0])
-    assert np.allclose(segment_prod(values, indptr), [0.5, 0.1875, 1.0, 1.0])
 
 
 def test_leading_and_interior_empties():
     values = np.array([2.0, 3.0, 4.0])
     indptr = np.array([0, 0, 2, 2, 3])
     assert np.allclose(segment_sum(values, indptr), [0.0, 5.0, 0.0, 4.0])
-    assert np.allclose(segment_prod(values, indptr), [1.0, 6.0, 1.0, 4.0])
 
 
 def test_all_empty():
     values = np.zeros(0)
     indptr = np.zeros(4, dtype=int)
     assert np.allclose(segment_sum(values, indptr), 0.0)
-    assert np.allclose(segment_prod(values, indptr), 1.0)
 
 
 def test_random_against_brute_force():
@@ -55,7 +48,6 @@ def test_random_against_brute_force():
         indptr = np.concatenate([[0], np.cumsum(counts)])
         values = rng.random(int(counts.sum())) + 0.1
         assert np.allclose(segment_sum(values, indptr), brute_sum(values, indptr))
-        assert np.allclose(segment_prod(values, indptr), brute_prod(values, indptr))
 
 
 def test_gather_rows_with_empty_rows():
