@@ -231,6 +231,8 @@ def cmd_alpha_surface(args):
 
 def cmd_bench(args):
     _check_sim_flags(args)
+    if args.scale != 1.0:
+        raise ConfigError(f"bench sweeps --scales, not --scale: use --scales {args.scale:g}")
     scales = _parse_list(args.scales, float, "scale-factor")
     ks = _parse_list(args.ks, int, "k")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]

@@ -11,13 +11,14 @@ id space.
 from __future__ import annotations
 
 import io
+import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._segments import segment_sum
+from ._segments import segment_sum, sorted_unique
 
 LT_WEIGHT_TOLERANCE = 1e-9
 TRIVALENCY_PROBS = (0.1, 0.01, 0.001)
@@ -25,6 +26,13 @@ TRIVALENCY_PROBS = (0.1, 0.01, 0.001)
 # Name/version of the seeded stream used for TRIVALENCY draws. Bumping the
 # version is the signal that edge probabilities changed for a given seed.
 TRIVALENCY_STREAM = "pcg64-trivalency-v1"
+
+
+# Sort keys pack two 32-bit halves into one uint64: (source, target) for the
+# out-view and (target, out-edge index) for the in-view.
+_PACKED_LIMIT = 1 << 32
+_HALF = np.uint64(32)
+_LOW_HALF = np.uint64(_PACKED_LIMIT - 1)
 
 
 class GraphError(ValueError):
@@ -61,6 +69,8 @@ class Graph:
         if not (len(src) == len(dst) == len(prob)):
             raise GraphError("edge arrays must have equal length")
         m = len(src)
+        if n > _PACKED_LIMIT or m > _PACKED_LIMIT:
+            raise GraphError(f"{n} nodes and {m} edges: the packed sort keys hold at most 2^32 of each")
         if m and (src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n):
             raise GraphError("edge endpoint outside [0, node_count)")
         if original_ids is None:
@@ -74,29 +84,41 @@ class Graph:
         if m and ((prob < 0.0) | (prob > 1.0)).any():
             raise GraphError("edge probability outside [0, 1]")
 
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order]
-        prob = prob[order]
-        if m > 1:
-            dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-            if dup.any():
-                i = int(dup.argmax())
-                raise GraphError(f"duplicate edge {int(original_ids[src[i]])}->{int(original_ids[dst[i]])}")
-
         idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
         self.node_count = n
         self.edge_count = m
         self.out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self.out_indptr[1:])
-        self.out_dst = dst.astype(idx_dtype)
-        self.out_prob = prob
-
-        in_order = np.lexsort((src, dst))
         self.in_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=self.in_indptr[1:])
-        self.in_src = src[in_order].astype(idx_dtype)
-        self.in_prob = prob[in_order]
+
+        # Out-view: one argsort of (source, target) packed into 64-bit keys.
+        # Sorted keys are sorted pairs, so the first repeat is the smallest
+        # duplicate pair.
+        key = src.view(np.uint64) << _HALF
+        key |= dst.view(np.uint64)
+        order = np.argsort(key)
+        key = key[order]
+        self.out_prob = prob[order]
+        del order
+        if m > 1:
+            dup = key[1:] == key[:-1]
+            if dup.any():
+                u, v = divmod(int(key[dup.argmax()]), 1 << 32)
+                raise GraphError(f"duplicate edge {int(original_ids[u])}->{int(original_ids[v])}")
+        out_src = (key >> _HALF).astype(idx_dtype)
+        self.out_dst = key.astype(np.uint32).astype(idx_dtype)
+
+        # In-view: a stable argsort of the sorted targets, done as one sort of
+        # (target, out-edge index) keys; a sort of plain keys costs a fraction
+        # of an argsort.
+        key <<= _HALF
+        key |= np.arange(m, dtype=np.uint64)
+        key.sort()
+        key &= _LOW_HALF
+        in_order = key.view(np.int64)
+        self.in_src = out_src[in_order]
+        self.in_prob = self.out_prob[in_order]
         self.out_to_in = np.empty(m, dtype=np.int32 if m <= np.iinfo(np.int32).max else np.int64)
         self.out_to_in[in_order] = np.arange(m, dtype=self.out_to_in.dtype)
         self.original_ids = original_ids
@@ -204,66 +226,28 @@ class WeightModel:
 def load_edge_list(source, num_nodes=None):
     """Parse a whitespace-separated edge list into a Graph.
 
-    Lines are "u v" or "u v p"; blank lines and lines starting with '#' are
-    skipped. Missing probabilities default to 0.0 pending a WeightModel.
-    With `num_nodes`, ids are taken as already dense and the graph is padded
-    with isolated nodes up to that count; otherwise the distinct ids that
-    appear are densified in sorted order.
-    """
-    close = False
-    if isinstance(source, (str, Path)):
-        fh = open(source, "rb")
-        close = True
-    elif isinstance(source, bytes):
-        fh = io.BytesIO(source)
-    else:
-        fh = source
-    try:
-        srcs = array("q")
-        dsts = array("q")
-        probs = array("d")
-        for lineno, raw in enumerate(fh, start=1):
-            if isinstance(raw, bytes):
-                try:
-                    raw = raw.decode("utf-8")
-                except UnicodeDecodeError as e:
-                    raise GraphError(f"line {lineno}: byte 0x{raw[e.start]:02x} is not UTF-8") from None
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) not in (2, 3):
-                raise GraphError(f"line {lineno}: expected 'u v' or 'u v p', got {line!r}")
-            try:
-                u = int(fields[0])
-                v = int(fields[1])
-            except ValueError:
-                raise GraphError(f"line {lineno}: non-integer node id in {line!r}") from None
-            if u < 0 or v < 0:
-                raise GraphError(f"line {lineno}: negative node id")
-            if u == v:
-                raise GraphError(f"line {lineno}: self-loop at node {u}")
-            p = 0.0
-            if len(fields) == 3:
-                try:
-                    p = float(fields[2])
-                except ValueError:
-                    raise GraphError(f"line {lineno}: non-numeric probability") from None
-                if not 0.0 <= p <= 1.0:
-                    raise GraphError(f"line {lineno}: probability {p} outside [0, 1]")
-            try:
-                srcs.append(u)
-                dsts.append(v)
-            except OverflowError:
-                raise GraphError(f"line {lineno}: node id beyond 2^63 - 1 in {line!r}") from None
-            probs.append(p)
-    finally:
-        if close:
-            fh.close()
+    `source` is a path, bytes, or a file object (binary, or text that is
+    then encoded as UTF-8). Lines are "u v" or "u v p"; blank lines and
+    lines starting with '#' are skipped. Missing probabilities default to
+    0.0 pending a WeightModel. With `num_nodes`, ids are taken as already
+    dense and the graph is padded with isolated nodes up to that count;
+    otherwise the distinct ids that appear are densified in sorted order.
 
-    src = np.frombuffer(srcs, dtype=np.int64).copy() if srcs else np.zeros(0, dtype=np.int64)
-    dst = np.frombuffer(dsts, dtype=np.int64).copy() if dsts else np.zeros(0, dtype=np.int64)
-    prob = np.frombuffer(probs, dtype=np.float64).copy() if probs else np.zeros(0)
+    The whole buffer is parsed in C when it is plain ASCII with one column
+    count and passes every check. Any other input goes through the line
+    loop, which names the first bad line or accepts the valid inputs the
+    fast path leaves to it.
+    """
+    if isinstance(source, (str, Path)):
+        data = Path(source).read_bytes()
+    elif isinstance(source, bytes):
+        data = source
+    else:
+        data = source.read()
+        if isinstance(data, str):
+            data = data.encode("utf-8", "surrogateescape")
+    edges = _parse_buffer(data)
+    src, dst, prob = edges if edges is not None else _parse_lines(data)
 
     if num_nodes is not None:
         n = int(num_nodes)
@@ -271,10 +255,97 @@ def load_edge_list(source, num_nodes=None):
             raise GraphError(f"node id {int(max(src.max(), dst.max()))} exceeds --num-nodes {n}")
         return Graph(n, src, dst, prob)
 
-    ids = np.unique(np.concatenate([src, dst]))
-    remap_src = np.searchsorted(ids, src)
-    remap_dst = np.searchsorted(ids, dst)
-    return Graph(len(ids), remap_src, remap_dst, prob, original_ids=ids)
+    ids = sorted_unique(np.concatenate([src, dst]))
+    return Graph(len(ids), np.searchsorted(ids, src), np.searchsorted(ids, dst), prob, original_ids=ids)
+
+
+_FIRST_DATA_LINE = re.compile(rb"^[^\S\n]*[^\s#][^\n]*", re.MULTILINE)
+_EDGE_FIELDS = [("u", np.int64), ("v", np.int64), ("p", np.float64)]
+
+
+def _parse_buffer(data):
+    """(src, dst, prob) of an edge list parsed by `np.loadtxt`, or None.
+
+    None means the line loop must decide: the input is not ASCII (numpy's
+    integer parser reads some non-ASCII letters as digits), a '#' follows
+    data on its line (loadtxt would drop it as a comment), the column count
+    varies, or a value fails a check the loop applies. On ASCII, loadtxt
+    splits lines and fields like `bytes.split(b"\\n")` and `str.split()` and
+    accepts a subset of what `int()` and `float()` accept, with equal values.
+    """
+    if not data.isascii() or not _comments_lead_their_lines(data):
+        return None
+    first = _FIRST_DATA_LINE.search(data)
+    columns = len(first.group().decode().split()) if first else 0
+    if columns not in (2, 3):
+        return None
+    try:
+        rows = np.loadtxt(io.BytesIO(data), dtype=_EDGE_FIELDS[:columns], comments="#", ndmin=1)
+    except ValueError:
+        return None
+    src, dst = rows["u"], rows["v"]
+    prob = rows["p"] if columns == 3 else np.zeros(len(rows))
+    if (src < 0).any() or (dst < 0).any() or (src == dst).any() or not ((prob >= 0.0) & (prob <= 1.0)).all():
+        return None
+    return src, dst, prob
+
+
+def _comments_lead_their_lines(data):
+    """Whether only blanks precede the first '#' of every line holding one."""
+    i = data.find(b"#")
+    while i >= 0:
+        if data[data.rfind(b"\n", 0, i) + 1 : i].strip():
+            return False
+        end = data.find(b"\n", i)
+        i = data.find(b"#", end) if end >= 0 else -1
+    return True
+
+
+def _parse_lines(data):
+    """(src, dst, prob) of an edge list, one line at a time.
+
+    The reference for `_parse_buffer` and the error locator: the first line
+    that is not UTF-8, not two or three fields, or not a valid edge raises a
+    GraphError naming it.
+    """
+    srcs = array("q")
+    dsts = array("q")
+    probs = array("d")
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise GraphError(f"line {lineno}: byte 0x{raw[e.start]:02x} is not UTF-8") from None
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) not in (2, 3):
+            raise GraphError(f"line {lineno}: expected 'u v' or 'u v p', got {line!r}")
+        try:
+            u = int(fields[0])
+            v = int(fields[1])
+        except ValueError:
+            raise GraphError(f"line {lineno}: non-integer node id in {line!r}") from None
+        if u < 0 or v < 0:
+            raise GraphError(f"line {lineno}: negative node id")
+        if u == v:
+            raise GraphError(f"line {lineno}: self-loop at node {u}")
+        p = 0.0
+        if len(fields) == 3:
+            try:
+                p = float(fields[2])
+            except ValueError:
+                raise GraphError(f"line {lineno}: non-numeric probability") from None
+            if not 0.0 <= p <= 1.0:
+                raise GraphError(f"line {lineno}: probability {p} outside [0, 1]")
+        try:
+            srcs.append(u)
+            dsts.append(v)
+        except OverflowError:
+            raise GraphError(f"line {lineno}: node id beyond 2^63 - 1 in {line!r}") from None
+        probs.append(p)
+    return np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64), np.array(probs, dtype=np.float64)
 
 
 def apply_weight_model(g, model):

@@ -46,6 +46,11 @@ def _check_seeds(g, seeds):
     return seed_ids
 
 
+def _check_hop_limit(hop_limit):
+    if hop_limit is not None and hop_limit < 0:
+        raise ValueError(f"hop_limit must be >= 0, got {hop_limit}")
+
+
 def _cascade(g, seed_ids, model, hop_limit, rng, record_levels=False):
     """One diffusion sample, activated level by level.
 
@@ -89,6 +94,7 @@ def _cascade(g, seed_ids, model, hop_limit, rng, record_levels=False):
 
 def simulate_once(g, seeds, model="ic", hop_limit=None, rng=None):
     """Run one diffusion cascade and return the activated-node count."""
+    _check_hop_limit(hop_limit)
     seed_ids = _check_seeds(g, seeds)
     if rng is None:
         rng = np.random.default_rng()
@@ -112,8 +118,7 @@ def estimate_spread(g, seeds, model="ic", hop_limit=None, n_sims=10000, rng_seed
     """
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
-    if hop_limit is not None and hop_limit < 0:
-        raise ValueError(f"hop_limit must be >= 0, got {hop_limit}")
+    _check_hop_limit(hop_limit)
     if model not in ("ic", "lt"):
         raise ValueError(f"unknown diffusion model {model!r}")
     seed_ids = _check_seeds(g, seeds)
@@ -233,6 +238,7 @@ def exact_spread(g, seeds, model="ic", hop_limit=None):
     Feasible only on tiny instances: 2^|E| outcomes under the cascade model,
     the product of (in-degree + 1) choices under the threshold model.
     """
+    _check_hop_limit(hop_limit)
     seed_ids = _check_seeds(g, seeds)
     n = g.node_count
     if n == 0 or len(seed_ids) == 0:
@@ -258,6 +264,7 @@ class ExactSpreadTable:
     """
 
     def __init__(self, g, model="ic", hop_limit=None):
+        _check_hop_limit(hop_limit)
         n = g.node_count
         if n > 20:
             raise ValueError("instance too large for subset spread table")

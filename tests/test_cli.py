@@ -112,8 +112,9 @@ class TestSelect:
             (["select", "--model", "file", "--scale", "inf", "--algo", "onehop", "--k", "1"], "--scale inf"),
             (["evaluate", "--seeds-file", "seeds.txt", "--hop-limit", "-1"], "--hop-limit"),
             (["bench", "--model", "file", "--scales", "inf", "--algos", "highdegree", "--ks", "1"], "--scales inf"),
+            (["bench", "--model", "file", "--scale", "5", "--algos", "highdegree", "--ks", "1"], "use --scales 5"),
         ],
-        ids=["model", "scale", "hop-limit", "bench-scales"],
+        ids=["model", "scale", "hop-limit", "bench-scales", "bench-scale"],
     )
     def test_bad_flag_value_is_config_error_naming_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)

@@ -1,9 +1,12 @@
 """Edge-list parsing, weight models, and graph invariants."""
 
+import io
+
 import numpy as np
 import pytest
 
 from conftest import random_ic_graph
+from hopspread import graph as graph_module
 from hopspread.graph import (
     Graph,
     GraphError,
@@ -92,6 +95,127 @@ class TestLoadEdgeList:
         assert g.node_count == 0 and g.edge_count == 0
 
 
+# Mutations of an edge list's lines (bytes without line endings): each one
+# gives input that the loader must either accept or reject with a message.
+MUTATIONS = ["comment", "inline-comment", "blank", "odd-id", "odd-prob", "drop-prob", "add-prob", "one-field",
+             "four-fields", "duplicate", "self-loop", "not-utf8", "separator", "lone-cr", "empty"]
+ODD_IDS = [b"+5", b"1_0", b"-1", b"-0", b"007", b"4294967296", b"4294967297",
+           b"9223372036854775807", b"9223372036854775808", b"x", b"\xef\xbc\x91"]
+ODD_PROBS = [b"nan", b"inf", b"-inf", b"1.5", b"-0.1", b".5", b"-0.0", b"1e-3", b"1", b"0_5", b"p"]
+ODD_SEPARATORS = [b"\t", b"\x0c", b"\xc2\xa0", b"\x1c", b" \t "]
+
+
+def mutate(rng, lines, kind):
+    def pick(choices):
+        return choices[int(rng.integers(len(choices)))]
+
+    def edit_field(column, choices):
+        rows = [i for i, line in enumerate(lines) if len(line.split()) > column]
+        if rows:
+            i = pick(rows)
+            fields = lines[i].split()
+            fields[column] = pick(choices)
+            lines[i] = b" ".join(fields)
+
+    at = int(rng.integers(len(lines) + 1))
+    if kind == "comment":
+        lines.insert(at, pick([b"# c", b"   # indented", b"\t#x # y"]))
+    elif kind == "inline-comment" and lines:
+        lines[-1] += b" # x"
+    elif kind == "blank":
+        lines.insert(at, pick([b"", b"   ", b"\x0c"]))
+    elif kind == "odd-id":
+        edit_field(int(rng.integers(2)), ODD_IDS)
+    elif kind == "odd-prob":
+        edit_field(2, ODD_PROBS)
+    elif kind == "drop-prob":
+        edit_field(2, [b""])
+    elif kind == "add-prob":
+        lines.insert(at, b"900 901 0.25")
+    elif kind == "one-field":
+        lines.insert(at, b"7")
+    elif kind == "four-fields":
+        lines.insert(at, b"7 8 0.5 1")
+    elif kind == "duplicate" and lines:
+        lines.append(pick(lines))
+    elif kind == "self-loop":
+        lines.insert(at, b"3 3")
+    elif kind == "not-utf8":
+        lines.insert(at, pick([b"1 \xff2", b"# \xfe"]))
+    elif kind == "separator" and lines:
+        lines[0] = lines[0].replace(b" ", pick(ODD_SEPARATORS), 1)
+    elif kind == "lone-cr" and lines:
+        lines[0] += b"\r5 6"
+    elif kind == "empty":
+        lines.clear()
+
+
+def fuzz_edge_list(rng, mutation):
+    """A random edge list with one named mutation and maybe one more."""
+    n = int(rng.integers(2, 12))
+    offset = [0, 40, 1 << 32][int(rng.integers(3))]
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = [pairs[i] for i in rng.permutation(len(pairs))[: int(rng.integers(1, 20))]]
+    three = bool(rng.integers(2))
+    lines = []
+    for u, v in chosen:
+        fields = [str(u + offset).encode(), str(v + offset).encode()]
+        if three:
+            fields.append([repr(float(rng.random())), "0.5", ".5", "1", "0"][int(rng.integers(5))].encode())
+        lines.append(b" ".join(fields))
+    mutate(rng, lines, mutation)
+    if rng.random() < 0.3:
+        mutate(rng, lines, MUTATIONS[int(rng.integers(len(MUTATIONS)))])
+    end = [b"\n", b"\r\n", b" \n", b"\t\r\n"][int(rng.integers(4))]
+    data = b"".join(line + end for line in lines)
+    if lines and rng.random() < 0.2:
+        data = data[: -len(end)]  # no final line ending
+    num_nodes = None
+    if offset == 0 and rng.random() < 0.4:
+        num_nodes = n if rng.random() < 0.5 else max(1, n // 3)
+    return data, num_nodes
+
+
+def _load_outcome(source, num_nodes):
+    try:
+        g = load_edge_list(source, num_nodes=num_nodes)
+    except GraphError as e:
+        return ("error", str(e))
+    slots = [s for s in Graph.__slots__ if s != "__weakref__"]
+    return ("graph", [(s, np.asarray(getattr(g, s)).dtype.str, np.asarray(getattr(g, s)).tobytes()) for s in slots])
+
+
+class TestFastParseMatchesLineLoop:
+    def test_differential_fuzz(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(20261018)
+        kinds = {"fast": 0, "loop-accepts": 0, "error": 0}
+        path = tmp_path / "edges.txt"
+        for case in range(600):
+            data, num_nodes = fuzz_edge_list(rng, MUTATIONS[case % len(MUTATIONS)])
+            path.write_bytes(data)
+            source = [data, io.BytesIO(data), str(path)][case % 3]
+            got = _load_outcome(source, num_nodes)
+            with monkeypatch.context() as m:
+                m.setattr(graph_module, "_parse_buffer", lambda data: None)
+                want = _load_outcome(data, num_nodes)
+            assert got == want, (data, num_nodes)
+            if got[0] == "error":
+                kinds["error"] += 1
+            else:
+                kinds["fast" if graph_module._parse_buffer(data) is not None else "loop-accepts"] += 1
+        assert min(kinds.values()) >= 50, kinds
+
+    def test_fast_path_takes_clean_inputs(self):
+        for text in (b"0 1\n1 2\n", b"# h\n  # i\n0 1 0.5\r\n\n1 2 1e-1 \n", b"0\t1\n+5 2\n"):
+            assert graph_module._parse_buffer(text) is not None
+        for text in (b"0 1 # x\n", b"0 1\n1 2 0.5\n", b"1_0 2\n", b"0\xc2\xa01\n", b"0 1\r2 3\n", b"# only\n"):
+            assert graph_module._parse_buffer(text) is None
+
+    def test_text_file_object(self):
+        g = load_edge_list(io.StringIO("10 20 0.5\n20 30 0.25\n"))
+        assert list(g.original_ids) == [10, 20, 30] and list(g.out_prob) == [0.5, 0.25]
+
+
 class TestGraphConstruction:
     def test_builder_rejects_self_loop(self):
         with pytest.raises(GraphError, match="self-loop"):
@@ -104,6 +228,11 @@ class TestGraphConstruction:
     def test_builder_rejects_bad_probability(self):
         with pytest.raises(GraphError, match="probability"):
             Graph(2, [0], [1], [1.5])
+
+    def test_builder_rejects_node_count_beyond_packed_key(self):
+        # Raised before any array of node_count + 1 entries is allocated.
+        with pytest.raises(GraphError, match=r"4294967297 nodes and 0 edges: .* at most 2\^32"):
+            Graph((1 << 32) + 1, [], [], [])
 
     def test_transpose_consistency_random(self):
         rng = np.random.default_rng(11)

@@ -85,6 +85,21 @@ class TestEstimateSpread:
         with pytest.raises(ValueError, match="hop_limit"):
             estimate_spread(chain_graph, [0], hop_limit=-1, n_sims=10)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: estimate_spread(g, [0], hop_limit=-1, n_sims=10),
+            lambda g: simulate_once(g, [0], "ic", -1, np.random.default_rng(0)),
+            lambda g: exact_spread(g, [0], "ic", -1),
+            lambda g: ExactSpreadTable(g, "lt", hop_limit=-1),
+            lambda g: brute_force_optimal(g, 1, "ic", hop_limit=-1),
+        ],
+        ids=["estimate_spread", "simulate_once", "exact_spread", "ExactSpreadTable", "brute_force_optimal"],
+    )
+    def test_negative_hop_limit_rejected(self, call):
+        with pytest.raises(ValueError, match=r"^hop_limit must be >= 0, got -1$"):
+            call(certain_chain())
+
     @pytest.mark.parametrize("model", ["ic", "lt"])
     def test_sort_dedup_matches_np_unique(self, model, monkeypatch):
         # The cascades' sort-based dedup must keep frontiers, hence RNG draws
