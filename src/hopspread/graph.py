@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import re
+import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,13 +27,6 @@ TRIVALENCY_PROBS = (0.1, 0.01, 0.001)
 # Name/version of the seeded stream used for TRIVALENCY draws. Bumping the
 # version is the signal that edge probabilities changed for a given seed.
 TRIVALENCY_STREAM = "pcg64-trivalency-v1"
-
-
-# Sort keys pack two 32-bit halves into one uint64: (source, target) for the
-# out-view and (target, out-edge index) for the in-view.
-_PACKED_LIMIT = 1 << 32
-_HALF = np.uint64(32)
-_LOW_HALF = np.uint64(_PACKED_LIMIT - 1)
 
 
 class GraphError(ValueError):
@@ -69,8 +63,16 @@ class Graph:
         if not (len(src) == len(dst) == len(prob)):
             raise GraphError("edge arrays must have equal length")
         m = len(src)
-        if n > _PACKED_LIMIT or m > _PACKED_LIMIT:
-            raise GraphError(f"{n} nodes and {m} edges: the packed sort keys hold at most 2^32 of each")
+        # Sort keys pack two fields into one uint64: (source, target) for the
+        # out-view and (target, out-edge index) for the in-view, each field
+        # as wide as its largest value needs.
+        node_bits = max(n - 1, 0).bit_length()
+        edge_bits = max(m - 1, 0).bit_length()
+        if 2 * node_bits > 64 or node_bits + edge_bits > 64:
+            raise GraphError(
+                f"{n} nodes and {m} edges: the packed sort keys need "
+                f"{max(2 * node_bits, node_bits + edge_bits)} bits, more than 64"
+            )
         if m and (src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n):
             raise GraphError("edge endpoint outside [0, node_count)")
         if original_ids is None:
@@ -95,7 +97,7 @@ class Graph:
         # Out-view: one argsort of (source, target) packed into 64-bit keys.
         # Sorted keys are sorted pairs, so the first repeat is the smallest
         # duplicate pair.
-        key = src.view(np.uint64) << _HALF
+        key = src.view(np.uint64) << np.uint64(node_bits)
         key |= dst.view(np.uint64)
         order = np.argsort(key)
         key = key[order]
@@ -104,18 +106,19 @@ class Graph:
         if m > 1:
             dup = key[1:] == key[:-1]
             if dup.any():
-                u, v = divmod(int(key[dup.argmax()]), 1 << 32)
+                u, v = divmod(int(key[dup.argmax()]), 1 << node_bits)
                 raise GraphError(f"duplicate edge {int(original_ids[u])}->{int(original_ids[v])}")
-        out_src = (key >> _HALF).astype(idx_dtype)
-        self.out_dst = key.astype(np.uint32).astype(idx_dtype)
+        out_src = (key >> np.uint64(node_bits)).astype(idx_dtype)
+        key &= np.uint64((1 << node_bits) - 1)
+        self.out_dst = key.astype(idx_dtype)
 
         # In-view: a stable argsort of the sorted targets, done as one sort of
         # (target, out-edge index) keys; a sort of plain keys costs a fraction
         # of an argsort.
-        key <<= _HALF
+        key <<= np.uint64(edge_bits)
         key |= np.arange(m, dtype=np.uint64)
         key.sort()
-        key &= _LOW_HALF
+        key &= np.uint64((1 << edge_bits) - 1)
         in_order = key.view(np.int64)
         self.in_src = out_src[in_order]
         self.in_prob = self.out_prob[in_order]
@@ -226,8 +229,7 @@ class WeightModel:
 def load_edge_list(source, num_nodes=None):
     """Parse a whitespace-separated edge list into a Graph.
 
-    `source` is a path, bytes, or a file object (binary, or text that is
-    then encoded as UTF-8). Lines are "u v" or "u v p"; blank lines and
+    `source` is a path, bytes, or a file object (binary or text). Lines are "u v" or "u v p"; blank lines and
     lines starting with '#' are skipped. Missing probabilities default to
     0.0 pending a WeightModel. With `num_nodes`, ids are taken as already
     dense and the graph is padded with isolated nodes up to that count;
@@ -244,8 +246,8 @@ def load_edge_list(source, num_nodes=None):
         data = source
     else:
         data = source.read()
-        if isinstance(data, str):
-            data = data.encode("utf-8", "surrogateescape")
+        if isinstance(data, str) and data.isascii():
+            data = data.encode("ascii")
     edges = _parse_buffer(data)
     src, dst, prob = edges if edges is not None else _parse_lines(data)
 
@@ -280,8 +282,12 @@ def _parse_buffer(data):
     if columns not in (2, 3):
         return None
     try:
-        rows = np.loadtxt(io.BytesIO(data), dtype=_EDGE_FIELDS[:columns], comments="#", ndmin=1)
-    except ValueError:
+        # numpy 1.23-1.x parses a non-integer id such as "1.0" or "2.7" as a
+        # float, truncates it and only warns; int() rejects it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(io.BytesIO(data), dtype=_EDGE_FIELDS[:columns], comments="#", ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
     src, dst = rows["u"], rows["v"]
     prob = rows["p"] if columns == 3 else np.zeros(len(rows))
@@ -304,18 +310,21 @@ def _comments_lead_their_lines(data):
 def _parse_lines(data):
     """(src, dst, prob) of an edge list, one line at a time.
 
-    The reference for `_parse_buffer` and the error locator: the first line
-    that is not UTF-8, not two or three fields, or not a valid edge raises a
+    `data` is bytes, or the text of a text file object. This is the
+    reference for `_parse_buffer` and the error locator: the first line that
+    is not UTF-8, not two or three fields, or not a valid edge raises a
     GraphError naming it.
     """
     srcs = array("q")
     dsts = array("q")
     probs = array("d")
-    for lineno, raw in enumerate(io.BytesIO(data), start=1):
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise GraphError(f"line {lineno}: byte 0x{raw[e.start]:02x} is not UTF-8") from None
+    lines = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data, newline="\n")
+    for lineno, raw in enumerate(lines, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise GraphError(f"line {lineno}: byte 0x{raw[e.start]:02x} is not UTF-8") from None
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

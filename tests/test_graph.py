@@ -1,6 +1,7 @@
 """Edge-list parsing, weight models, and graph invariants."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -100,7 +101,8 @@ class TestLoadEdgeList:
 MUTATIONS = ["comment", "inline-comment", "blank", "odd-id", "odd-prob", "drop-prob", "add-prob", "one-field",
              "four-fields", "duplicate", "self-loop", "not-utf8", "separator", "lone-cr", "empty"]
 ODD_IDS = [b"+5", b"1_0", b"-1", b"-0", b"007", b"4294967296", b"4294967297",
-           b"9223372036854775807", b"9223372036854775808", b"x", b"\xef\xbc\x91"]
+           b"9223372036854775807", b"9223372036854775808", b"x", b"\xef\xbc\x91",
+           b"1.0", b"1e3", b"-0.5", b"2.7", b"nan", b"inf"]
 ODD_PROBS = [b"nan", b"inf", b"-inf", b"1.5", b"-0.1", b".5", b"-0.0", b"1e-3", b"1", b"0_5", b"p"]
 ODD_SEPARATORS = [b"\t", b"\x0c", b"\xc2\xa0", b"\x1c", b" \t "]
 
@@ -193,11 +195,17 @@ class TestFastParseMatchesLineLoop:
         for case in range(600):
             data, num_nodes = fuzz_edge_list(rng, MUTATIONS[case % len(MUTATIONS)])
             path.write_bytes(data)
-            source = [data, io.BytesIO(data), str(path)][case % 3]
-            got = _load_outcome(source, num_nodes)
+            sources = [
+                lambda: data,
+                lambda: io.BytesIO(data),
+                lambda: str(path),
+                lambda: io.StringIO(data.decode("utf-8", "surrogateescape")),
+            ]
+            source = sources[case % len(sources)]
+            got = _load_outcome(source(), num_nodes)
             with monkeypatch.context() as m:
                 m.setattr(graph_module, "_parse_buffer", lambda data: None)
-                want = _load_outcome(data, num_nodes)
+                want = _load_outcome(source(), num_nodes)
             assert got == want, (data, num_nodes)
             if got[0] == "error":
                 kinds["error"] += 1
@@ -215,6 +223,22 @@ class TestFastParseMatchesLineLoop:
         g = load_edge_list(io.StringIO("10 20 0.5\n20 30 0.25\n"))
         assert list(g.original_ids) == [10, 20, 30] and list(g.out_prob) == [0.5, 0.25]
 
+    def test_text_with_lone_surrogate_reports_line(self):
+        with pytest.raises(GraphError, match="line 2: non-integer node id"):
+            load_edge_list(io.StringIO("0 1\n1\ud800 2\n"))
+
+    def test_float_parsed_id_warning_falls_back(self, monkeypatch):
+        # numpy 1.x loadtxt reads "2.7" as int64 2 and only warns; the warning
+        # must send the input to the line loop, which rejects it.
+        def truncating_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return np.array([(2, 3)], dtype=[("u", np.int64), ("v", np.int64)])
+
+        monkeypatch.setattr(graph_module.np, "loadtxt", truncating_loadtxt)
+        assert graph_module._parse_buffer(b"2.7 3\n") is None
+        with pytest.raises(GraphError, match="line 1: non-integer node id"):
+            load_edge_list(b"2.7 3\n")
+
 
 class TestGraphConstruction:
     def test_builder_rejects_self_loop(self):
@@ -231,7 +255,7 @@ class TestGraphConstruction:
 
     def test_builder_rejects_node_count_beyond_packed_key(self):
         # Raised before any array of node_count + 1 entries is allocated.
-        with pytest.raises(GraphError, match=r"4294967297 nodes and 0 edges: .* at most 2\^32"):
+        with pytest.raises(GraphError, match=r"4294967297 nodes and 0 edges: .* need 66 bits, more than 64"):
             Graph((1 << 32) + 1, [], [], [])
 
     def test_transpose_consistency_random(self):
