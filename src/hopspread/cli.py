@@ -152,9 +152,15 @@ def _read_seeds_file(path):
     ids = []
     for where, value in items:
         try:
-            ids.append(int(value))
-        except (TypeError, ValueError, OverflowError):
+            if isinstance(value, str):
+                value = int(value)
+            # A JSON value must already be an integer: int() would truncate
+            # 1.5 and read true as 1. Node ids are int64.
+            if type(value) is not int or not -(1 << 63) <= value < 1 << 63:
+                raise ValueError
+        except ValueError:
             raise GraphError(f"seed file {path}, {where}: invalid seed id {value!r}") from None
+        ids.append(value)
     return ids
 
 

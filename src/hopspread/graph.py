@@ -83,7 +83,7 @@ class Graph:
         if m and (src == dst).any():
             u = int(original_ids[src[(src == dst).argmax()]])
             raise GraphError(f"self-loop at node {u}")
-        if m and ((prob < 0.0) | (prob > 1.0)).any():
+        if m and not ((prob >= 0.0) & (prob <= 1.0)).all():
             raise GraphError("edge probability outside [0, 1]")
 
         idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
@@ -235,10 +235,10 @@ def load_edge_list(source, num_nodes=None):
     dense and the graph is padded with isolated nodes up to that count;
     otherwise the distinct ids that appear are densified in sorted order.
 
-    The whole buffer is parsed in C when it is plain ASCII with one column
-    count and passes every check. Any other input goes through the line
-    loop, which names the first bad line or accepts the valid inputs the
-    fast path leaves to it.
+    The whole buffer is parsed in C when it is UTF-8 with non-ASCII bytes
+    only on comment lines, has one column count and passes every check.
+    Any other input goes through the line loop, which names the first bad
+    line or accepts the valid inputs the fast path leaves to it.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
@@ -246,8 +246,11 @@ def load_edge_list(source, num_nodes=None):
         data = source
     else:
         data = source.read()
-        if isinstance(data, str) and data.isascii():
-            data = data.encode("ascii")
+        if isinstance(data, str):
+            try:
+                data = data.encode("utf-8")
+            except UnicodeEncodeError:
+                pass  # a lone surrogate: the line loop names its line
     edges = _parse_buffer(data)
     src, dst, prob = edges if edges is not None else _parse_lines(data)
 
@@ -257,6 +260,15 @@ def load_edge_list(source, num_nodes=None):
             raise GraphError(f"node id {int(max(src.max(), dst.max()))} exceeds --num-nodes {n}")
         return Graph(n, src, dst, prob)
 
+    # Ids below the number read fit a presence table no larger than the
+    # concatenated ids; sparse ids (up to 2^63 - 1) take a sort instead.
+    top = int(max(src.max(), dst.max())) if len(src) else -1
+    if 0 <= top < len(src) + len(dst):
+        present = np.zeros(top + 1, dtype=bool)
+        present[src] = True
+        present[dst] = True
+        rank = np.cumsum(present) - 1
+        return Graph(int(rank[-1]) + 1, rank[src], rank[dst], prob, original_ids=np.flatnonzero(present))
     ids = sorted_unique(np.concatenate([src, dst]))
     return Graph(len(ids), np.searchsorted(ids, src), np.searchsorted(ids, dst), prob, original_ids=ids)
 
@@ -268,15 +280,24 @@ _EDGE_FIELDS = [("u", np.int64), ("v", np.int64), ("p", np.float64)]
 def _parse_buffer(data):
     """(src, dst, prob) of an edge list parsed by `np.loadtxt`, or None.
 
-    None means the line loop must decide: the input is not ASCII (numpy's
-    integer parser reads some non-ASCII letters as digits), a '#' follows
-    data on its line (loadtxt would drop it as a comment), the column count
-    varies, or a value fails a check the loop applies. On ASCII, loadtxt
-    splits lines and fields like `bytes.split(b"\\n")` and `str.split()` and
-    accepts a subset of what `int()` and `float()` accept, with equal values.
+    None means the line loop must decide: the input is text with a lone
+    surrogate, holds a non-ASCII byte off a comment line (numpy's integer
+    parser reads some non-ASCII letters as digits) or is not UTF-8, a '#'
+    follows data on its line (loadtxt would drop it as a comment), the
+    column count varies, or a value fails a check the loop applies. On
+    ASCII data lines, loadtxt splits lines and fields like
+    `bytes.split(b"\\n")` and `str.split()` and accepts a subset of what
+    `int()` and `float()` accept, with equal values.
     """
-    if not data.isascii() or not _comments_lead_their_lines(data):
+    if isinstance(data, str) or not _comments_lead_their_lines(data):
         return None
+    if not data.isascii():
+        if not _non_ascii_only_in_comments(data):
+            return None
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
     first = _FIRST_DATA_LINE.search(data)
     columns = len(first.group().decode().split()) if first else 0
     if columns not in (2, 3):
@@ -304,6 +325,21 @@ def _comments_lead_their_lines(data):
             return False
         end = data.find(b"\n", i)
         i = data.find(b"#", end) if end >= 0 else -1
+    return True
+
+
+_NON_ASCII = re.compile(rb"[\x80-\xff]")
+
+
+def _non_ascii_only_in_comments(data):
+    """Whether every line holding a non-ASCII byte starts, after blanks, with '#'."""
+    hit = _NON_ASCII.search(data)
+    while hit:
+        i = hit.start()
+        if not data[data.rfind(b"\n", 0, i) + 1 : i].lstrip().startswith(b"#"):
+            return False
+        end = data.find(b"\n", i)
+        hit = _NON_ASCII.search(data, end) if end >= 0 else None
     return True
 
 

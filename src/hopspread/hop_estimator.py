@@ -18,11 +18,17 @@ the two-hop survival of every node those one-hop changes reach directly
 from its incoming edges. No survival is ever divided out: q1 changes by at
 most one factor or weight per seed and q2 is always the closed form of q1,
 so the state stays within rounding of the closed form of its seed set and
-needs no periodic recomputation. The recomputation reads the would-be
-one-hop values of the candidate and its out-neighbors from the report's own
-arrays, placed at their out-edges' slots in the gathered incoming edges
-(found through `Graph.out_to_in`), so an evaluation costs the size of its
-neighborhood and writes only arrays it allocated.
+needs no periodic recomputation.
+
+For two hops the state also keeps, per incoming edge e (indexed like the
+incoming view), its one-hop transmission x1[e] = p_e * (1 - q1[source of
+e]), a function of q1 (8 bytes per edge). The recomputation gathers x1 over
+the reached nodes' incoming rows, one contiguous run per node, and places
+the would-be transmissions of the out-edges of the candidate and its
+out-neighbors at their slots in that gather (found through
+`Graph.out_to_in`). So an evaluation costs one read per gathered incoming
+edge plus the size of its neighborhood, and writes only arrays it
+allocated; a commit writes the candidate's new transmissions into x1.
 """
 
 from __future__ import annotations
@@ -40,9 +46,21 @@ class StaleReportError(RuntimeError):
 class GainReport:
     """Marginal hop-limited gain of one candidate plus the values to commit."""
 
-    __slots__ = ("state", "candidate", "gain", "state_version", "q1_nodes", "q1_values", "q2_nodes", "q2_values")
+    __slots__ = (
+        "state",
+        "candidate",
+        "gain",
+        "state_version",
+        "q1_nodes",
+        "q1_values",
+        "q2_nodes",
+        "q2_values",
+        "x1_edges",
+        "x1_values",
+    )
 
-    def __init__(self, state, candidate, gain, q1_nodes, q1_values, q2_nodes, q2_values):
+    def __init__(self, state, candidate, gain, q1_nodes, q1_values, q2_nodes=None, q2_values=None,
+                 x1_edges=None, x1_values=None):
         self.state = state
         self.candidate = candidate
         self.gain = gain
@@ -51,14 +69,17 @@ class GainReport:
         self.q1_values = q1_values
         self.q2_nodes = q2_nodes
         self.q2_values = q2_values
+        self.x1_edges = x1_edges
+        self.x1_values = x1_values
 
 
 class HopState:
     """Seed set plus per-node survival complements for 1 or 2 hops.
 
     q1[v] = P[v not active within one hop], q2[v] likewise for two hops
-    (only present when hops == 2). Seeds hold q = 0. `sigma` tracks the
-    running hop-limited spread.
+    (only present when hops == 2). Seeds hold q = 0. With two hops,
+    x1[e] = in_prob[e] * (1 - q1[in_src[e]]) is each incoming edge's
+    one-hop transmission. `sigma` tracks the running hop-limited spread.
     """
 
     __slots__ = (
@@ -69,6 +90,7 @@ class HopState:
         "seeds",
         "q1",
         "q2",
+        "x1",
         "sigma",
         "version",
     )
@@ -82,6 +104,7 @@ class HopState:
         self.seeds = []
         self.q1 = np.ones(n)
         self.q2 = np.ones(n) if hops == 2 else None
+        self.x1 = np.zeros(graph.edge_count) if hops == 2 else None
         self.sigma = 0.0
         self.version = 0
 
@@ -127,7 +150,7 @@ def eval_gain(state, u):
     q1_values = np.concatenate(([0.0], q1w_new))
     if s.hops == 1:
         gain = q1[u] + (q1w - q1w_new).sum()
-        return GainReport(s, u, max(float(gain), 0.0), q1_nodes, q1_values, None, None)
+        return GainReport(s, u, max(float(gain), 0.0), q1_nodes, q1_values)
 
     # Only C = {u} + ws change one-hop survival, so only out(C) can change
     # two-hop survival; recompute those from all their incoming edges. In
@@ -136,24 +159,25 @@ def eval_gain(state, u):
     c_in = g.out_to_in[c_edges]
     order = np.argsort(c_in)
     c_in = c_in[order]
-    c_dst = g.out_dst[c_edges[order]]
+    c_edges = c_edges[order]
+    c_dst = g.out_dst[c_edges]
+    c_x1 = g.out_prob[c_edges] * (1.0 - np.repeat(q1_values, np.diff(c_seg))[order])
     first = np.ones(len(c_dst), dtype=bool)
     first[1:] = c_dst[1:] != c_dst[:-1]
     reach = c_dst[first]
     edges, seg = gather_rows(g.in_indptr, reach)
-    # Sources outside C keep the state's one-hop survival; each out-edge of C
-    # takes its source's new value at its offset in its target's segment.
-    q1_src = q1[g.in_src[edges]]
-    q1_src[c_in - g.in_indptr[c_dst] + seg[np.cumsum(first) - 1]] = np.repeat(q1_values, np.diff(c_seg))[order]
+    # Edges from outside C keep the state's transmission; each out-edge of C
+    # takes its would-be value at its offset in its target's segment.
+    x1 = s.x1[edges]
+    x1[c_in - g.in_indptr[c_dst] + seg[np.cumsum(first) - 1]] = c_x1
     live = ~s.seed_mask[reach] & (reach != u)
     t = reach[live]
-    pi1_src = np.subtract(1.0, q1_src, out=q1_src)
-    t_values = _survival(s.model, g.in_prob[edges], pi1_src, seg[:-1])[live]
+    t_values = _survival(s.model, x1, seg[:-1])[live]
     q2 = s.q2
     gain = q2[u] + (q2[t] - t_values).sum()
     q2_nodes = np.concatenate(([u], t))
     q2_values = np.concatenate(([0.0], t_values))
-    return GainReport(s, u, max(float(gain), 0.0), q1_nodes, q1_values, q2_nodes, q2_values)
+    return GainReport(s, u, max(float(gain), 0.0), q1_nodes, q1_values, q2_nodes, q2_values, c_in, c_x1)
 
 
 def commit(state, report):
@@ -171,6 +195,7 @@ def commit(state, report):
     state.q1[report.q1_nodes] = report.q1_values
     if state.hops == 2:
         state.q2[report.q2_nodes] = report.q2_values
+        state.x1[report.x1_edges] = report.x1_values
     state.seed_mask[u] = True
     state.seeds.append(u)
     state.sigma += report.gain
@@ -183,11 +208,10 @@ def spread(state):
     return state.sigma
 
 
-def _survival(model, p, pi_src, starts):
-    """Survival of each reached node from its incoming edge weights `p` and
-    source activations `pi_src`, both gathered copies that are overwritten.
-    Every reached node has an in-edge from C, so no segment is empty."""
-    x = np.multiply(p, pi_src, out=p)
+def _survival(model, x1, starts):
+    """Survival of each reached node from the gathered one-hop transmissions
+    `x1` of its incoming edges, a copy that is overwritten. Every reached
+    node has an in-edge from C, so no segment is empty."""
     if model == "ic":
-        return np.multiply.reduceat(np.subtract(1.0, x, out=x), starts)
-    return np.maximum(1.0 - np.add.reduceat(x, starts), 0.0)
+        return np.multiply.reduceat(np.subtract(1.0, x1, out=x1), starts)
+    return np.maximum(1.0 - np.add.reduceat(x1, starts), 0.0)

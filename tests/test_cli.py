@@ -178,12 +178,33 @@ class TestEvaluate:
             ("[null]", "entry 0: invalid seed id None"),
             ('{"seeds": 5}', "expected a JSON list of ids"),
             ("10\nx\n", "line 2: invalid seed id 'x'"),
+            ("10\n99999999999999999999\n", "line 2: invalid seed id 99999999999999999999"),
         ],
     )
     def test_malformed_seed_file_is_data_error(self, chain_file, tmp_path, capsys, text, message):
         seeds = tmp_path / "bad.txt"
         seeds.write_text(text)
         assert main(["evaluate", "--graph", chain_file, "--seeds-file", str(seeds)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1.5, true]", "entry 0: invalid seed id 1.5"),
+            ("[1, true]", "entry 1: invalid seed id True"),
+            ('{"seeds": [2.9]}', "entry 0: invalid seed id 2.9"),
+            ('{"seeds": [0, 2.0]}', "entry 1: invalid seed id 2.0"),
+            ("1.5\n", "line 1: invalid seed id '1.5'"),
+        ],
+    )
+    def test_seed_ids_must_be_integers(self, tmp_path, capsys, text, message):
+        # Every rejected value would truncate to an id of this graph.
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1 0.5\n1 2 0.5\n")
+        seeds = tmp_path / "seeds"
+        seeds.write_text(text)
+        assert main(["evaluate", "--graph", str(graph), "--model", "file", "--seeds-file", str(seeds),
+                     "--n-sims", "10", "--rng-seed", "1"]) == 2
         assert message in capsys.readouterr().err
 
     def test_drawn_seed_recorded(self, chain_file, tmp_path):

@@ -99,7 +99,7 @@ class TestLoadEdgeList:
 # Mutations of an edge list's lines (bytes without line endings): each one
 # gives input that the loader must either accept or reject with a message.
 MUTATIONS = ["comment", "inline-comment", "blank", "odd-id", "odd-prob", "drop-prob", "add-prob", "one-field",
-             "four-fields", "duplicate", "self-loop", "not-utf8", "separator", "lone-cr", "empty"]
+             "four-fields", "duplicate", "self-loop", "not-utf8", "utf8-comment", "separator", "lone-cr", "empty"]
 ODD_IDS = [b"+5", b"1_0", b"-1", b"-0", b"007", b"4294967296", b"4294967297",
            b"9223372036854775807", b"9223372036854775808", b"x", b"\xef\xbc\x91",
            b"1.0", b"1e3", b"-0.5", b"2.7", b"nan", b"inf"]
@@ -144,6 +144,10 @@ def mutate(rng, lines, kind):
         lines.insert(at, b"3 3")
     elif kind == "not-utf8":
         lines.insert(at, pick([b"1 \xff2", b"# \xfe"]))
+    elif kind == "utf8-comment":
+        # U+2028 and U+0085 are line breaks to str.splitlines; U+00A0 is a blank to str.strip.
+        lines.insert(at, pick([b"# graph by M\xc3\xbcller", b"  # \xe2\x80\xa8 5 6", b"\t#\xc2\x85 7 8",
+                               b"\xc2\xa0# 9 10", b"#\xef\xbc\x91 \xef\xbc\x92"]))
     elif kind == "separator" and lines:
         lines[0] = lines[0].replace(b" ", pick(ODD_SEPARATORS), 1)
     elif kind == "lone-cr" and lines:
@@ -178,13 +182,18 @@ def fuzz_edge_list(rng, mutation):
     return data, num_nodes
 
 
-def _load_outcome(source, num_nodes):
+def _outcome(build):
+    """("graph", every slot's dtype and bytes) of `build()`, or ("error", message)."""
     try:
-        g = load_edge_list(source, num_nodes=num_nodes)
+        g = build()
     except GraphError as e:
         return ("error", str(e))
     slots = [s for s in Graph.__slots__ if s != "__weakref__"]
     return ("graph", [(s, np.asarray(getattr(g, s)).dtype.str, np.asarray(getattr(g, s)).tobytes()) for s in slots])
+
+
+def _load_outcome(source, num_nodes):
+    return _outcome(lambda: load_edge_list(source, num_nodes=num_nodes))
 
 
 class TestFastParseMatchesLineLoop:
@@ -214,10 +223,28 @@ class TestFastParseMatchesLineLoop:
         assert min(kinds.values()) >= 50, kinds
 
     def test_fast_path_takes_clean_inputs(self):
-        for text in (b"0 1\n1 2\n", b"# h\n  # i\n0 1 0.5\r\n\n1 2 1e-1 \n", b"0\t1\n+5 2\n"):
+        for text in (b"0 1\n1 2\n", b"# h\n  # i\n0 1 0.5\r\n\n1 2 1e-1 \n", b"0\t1\n+5 2\n",
+                     b"# graph by M\xc3\xbcller\n0 1\n1 2\n", b"0 1 0.5\n\t#\xe2\x80\xa8 5 6\r\n1 2 1\n"):
             assert graph_module._parse_buffer(text) is not None
-        for text in (b"0 1 # x\n", b"0 1\n1 2 0.5\n", b"1_0 2\n", b"0\xc2\xa01\n", b"0 1\r2 3\n", b"# only\n"):
+        for text in (b"0 1 # x\n", b"0 1\n1 2 0.5\n", b"1_0 2\n", b"0 1\r2 3\n", b"# only\n"):
             assert graph_module._parse_buffer(text) is None
+
+    def test_non_ascii_data_lines_never_reach_loadtxt(self, monkeypatch):
+        # loadtxt reads bytes as Latin-1 today, but the gate must not rely on
+        # how a numpy version treats non-ASCII letters, digits or blanks.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("loadtxt ran")
+
+        monkeypatch.setattr(graph_module.np, "loadtxt", must_not_run)
+        for text in (b"0\xc2\xa01\n", b"# M\xc3\xbcller\n0 1\n1 2\xc2\xa0\n", b"\xc2\xa0# x\n0 1\n",
+                     b"# M\xc3\xbc\n0 1 # \xc3\xbc\n", b"# \xff\n0 1\n", b"0 1\n# \xc3\n"):
+            assert graph_module._parse_buffer(text) is None
+
+    def test_utf8_comment_header_keeps_the_fast_path(self, monkeypatch):
+        data = b"# graph by M\xc3\xbcller\n" + b"".join(b"%d %d\n" % (i, i + 1) for i in range(50))
+        monkeypatch.setattr(graph_module, "_parse_lines", None)
+        for source in (data, io.BytesIO(data), io.StringIO(data.decode())):
+            assert load_edge_list(source).edge_count == 50
 
     def test_text_file_object(self):
         g = load_edge_list(io.StringIO("10 20 0.5\n20 30 0.25\n"))
@@ -240,6 +267,69 @@ class TestFastParseMatchesLineLoop:
             load_edge_list(b"2.7 3\n")
 
 
+def _sort_densified(data):
+    """The graph of `data` with ids densified by a sort and a binary search."""
+    src, dst, prob = graph_module._parse_lines(data)
+    ids = np.unique(np.concatenate([src, dst]))
+    return Graph(len(ids), np.searchsorted(ids, src), np.searchsorted(ids, dst), prob, original_ids=ids)
+
+
+def _edge_bytes(pairs):
+    return b"".join(b"%d %d 0.5\n" % (u, v) for u, v in pairs)
+
+
+class TestDensify:
+    """Ids below the number read go through a presence table, others through a sort; same graph."""
+
+    def assert_same_as_sort(self, data):
+        want = _outcome(lambda: _sort_densified(data))
+        assert _load_outcome(data, None) == want, data
+        return want
+
+    def test_random_id_sets(self):
+        rng = np.random.default_rng(8)
+        table = 0
+        for case in range(200):
+            m = int(rng.integers(1, 30))
+            if case % 2:  # dense: the largest id is near the number of ids read
+                lo, span = 0, int(rng.integers(2, 3 * m))
+            else:  # sparse, up to 2^63 - 1
+                lo, span = int(rng.integers(0, 1 << 62)), 1 << int(rng.integers(33, 62))
+            pairs = list({(int(u), int(v)) for u, v in lo + rng.integers(0, span, size=(m, 2)) if u != v})
+            if pairs:
+                table += max(map(max, pairs)) < 2 * len(pairs)
+            self.assert_same_as_sort(_edge_bytes([pairs[i] for i in rng.permutation(len(pairs))]))
+        assert 20 <= table <= 80, table
+
+    @pytest.mark.parametrize("extra", [-1, 0], ids=["max-id-2m-1", "max-id-2m"])
+    def test_table_size_boundary(self, extra):
+        pairs = [(2, 0), (0, 1), (3, 1)]
+        pairs.append((1, 2 * (len(pairs) + 1) + extra))
+        self.assert_same_as_sort(_edge_bytes(pairs))
+        assert load_edge_list(_edge_bytes(pairs)).node_count == 5
+
+    def test_ids_near_int64_max(self):
+        top = (1 << 63) - 1
+        self.assert_same_as_sort(_edge_bytes([(top, top - 1), (0, top), (top - 1, 0)]))
+        g = load_edge_list(_edge_bytes([(top, 0)]))
+        assert list(g.original_ids) == [0, top]
+
+    @pytest.mark.parametrize("pairs", [[(1, 3), (3, 5), (1, 3)], [(10, 50), (50, 90), (10, 50)]],
+                             ids=["table", "sort"])
+    def test_duplicate_edge_named_by_original_ids(self, pairs):
+        u, v = pairs[0]
+        assert self.assert_same_as_sort(_edge_bytes(pairs)) == ("error", f"duplicate edge {u}->{v}")
+
+    def test_empty_input(self):
+        outcome = self.assert_same_as_sort(b"")
+        assert outcome[0] == "graph"
+
+    def test_num_nodes_keeps_ids(self):
+        data = _edge_bytes([(0, 4), (4, 1)])
+        want = _outcome(lambda: Graph(7, [0, 4], [4, 1], [0.5, 0.5]))
+        assert _load_outcome(data, 7) == want
+
+
 class TestGraphConstruction:
     def test_builder_rejects_self_loop(self):
         with pytest.raises(GraphError, match="self-loop"):
@@ -252,6 +342,11 @@ class TestGraphConstruction:
     def test_builder_rejects_bad_probability(self):
         with pytest.raises(GraphError, match="probability"):
             Graph(2, [0], [1], [1.5])
+
+    def test_builder_rejects_nan_probability(self):
+        # NaN fails every comparison, so the range check must test for inside.
+        with pytest.raises(GraphError, match="probability"):
+            Graph(3, [0, 1], [1, 2], [0.5, float("nan")])
 
     def test_builder_rejects_node_count_beyond_packed_key(self):
         # Raised before any array of node_count + 1 entries is allocated.

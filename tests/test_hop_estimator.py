@@ -99,12 +99,14 @@ class TestStateContracts:
 
         def snapshot(state):
             q2 = None if state.q2 is None else state.q2.copy()
-            return state.q1.copy(), q2, state.seed_mask.copy(), state.sigma, state.version
+            x1 = None if state.x1 is None else state.x1.copy()
+            return state.q1.copy(), q2, x1, state.seed_mask.copy(), state.sigma, state.version
 
         def assert_unchanged(state, snap):
-            q1, q2, mask, sigma, version = snap
+            q1, q2, x1, mask, sigma, version = snap
             assert np.array_equal(state.q1, q1) and np.array_equal(state.seed_mask, mask)
             assert q2 is None if state.q2 is None else np.array_equal(state.q2, q2)
+            assert x1 is None if state.x1 is None else np.array_equal(state.x1, x1)
             assert state.sigma == sigma and state.version == version
 
         def failing_reduction(*args):
@@ -332,7 +334,7 @@ class TestStateIsItsSeedSet:
         s = init_state(g, model, hops)
         for v in rng.permutation(g.node_count)[:20]:
             commit(s, eval_gain(s, int(v)))
-        for arr in (s.q1, s.q2, s.seed_mask):
+        for arr in (s.q1, s.q2, s.x1, s.seed_mask):
             if arr is not None:
                 arr.flags.writeable = False
         sigma, version = s.sigma, s.version
@@ -355,3 +357,6 @@ class TestStateIsItsSeedSet:
             ref = reference_activation(g, order[: i + 1], hops, model)
             assert np.abs(s.activation() - ref).max() < 1e-12
             assert abs(spread(s) - ref.sum()) < 1e-12 * n
+            if hops == 2:
+                # The per-edge transmission is the closed form of q1, bit for bit.
+                assert s.x1.tobytes() == (g.in_prob * (1.0 - s.q1[g.in_src])).tobytes()
