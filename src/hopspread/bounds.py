@@ -5,6 +5,10 @@ p(v,w) * bound(h-1)[w] dominates the h-hop spread of {v} under both
 diffusion models and is exact at h = 1. Threshold two-hop activation of x,
 min(1, b(v,x) + sum_w b(v,w) * b(w,x)), is dominated term by term. One
 linear pass per level makes bootstrapping the first greedy pick nearly free.
+
+At h = 2 the bound is 1 + W[v] + sum over out-edges of p(v,w) * W[w], with
+W the total out-probability, which is `hop_estimator.gain_bound` at the
+empty seed set; `gain_bound` re-evaluates it against a nonempty one.
 """
 
 from __future__ import annotations

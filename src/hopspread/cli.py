@@ -116,6 +116,7 @@ def cmd_select(args):
         "spread": result.spread,
         "elapsed_seconds": result.elapsed,
         "evaluations": result.evaluations,
+        "bound_refreshes": result.bound_refreshes,
         "config": {
             "graph": args.graph,
             "model": model_text,

@@ -13,11 +13,32 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._segments import sorted_unique
 from .graph import Graph
 
 
 def _rng(rng_seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
+
+
+def _first_occurrences(a):
+    """Ascending indices of the first occurrence of each value in `a`, the
+    sorted `index` output of `np.unique(a, return_index=True)`.
+
+    Duplicates are rare here, so only the occurrences of duplicated values
+    are located (one `searchsorted`) and stably ordered by value; all but
+    the first of each run are dropped.
+    """
+    s = np.sort(a)
+    dup = sorted_unique(s[1:][s[1:] == s[:-1]])
+    if len(dup) == 0:
+        return np.arange(len(a))
+    slot = np.minimum(np.searchsorted(dup, a), len(dup) - 1)
+    occ = np.flatnonzero(dup[slot] == a)
+    occ = occ[np.argsort(a[occ], kind="stable")]
+    keep = np.ones(len(a), dtype=bool)
+    keep[occ[1:][a[occ[1:]] == a[occ[:-1]]]] = False
+    return np.flatnonzero(keep)
 
 
 def power_law_graph(n, m, gamma=2.3, rng_seed=0):
@@ -37,8 +58,7 @@ def power_law_graph(n, m, gamma=2.3, rng_seed=0):
     keep = src != dst
     src, dst = src[keep], dst[keep]
     pair = src.astype(np.int64) * n + dst.astype(np.int64)
-    _, first = np.unique(pair, return_index=True)
-    first.sort()
+    first = _first_occurrences(pair)
     src, dst = src[first[:m]], dst[first[:m]]
     return Graph(n, src, dst, np.zeros(len(src)))
 

@@ -29,14 +29,23 @@ out-neighbors at their slots in that gather (found through
 `Graph.out_to_in`). So an evaluation costs one read per gathered incoming
 edge plus the size of its neighborhood, and writes only arrays it
 allocated; a commit writes the candidate's new transmissions into x1.
+
+`gain_bound` is a cheaper two-hop stand-in for `eval_gain` when only an
+upper bound is needed: it reads the candidate's out-row and each
+out-neighbor's total out-probability (kept per node in the state), so it
+costs O(out-degree) where an evaluation reads every reached incoming row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._segments import gather_rows
+from ._segments import gather_rows, segment_sum
 from .graph import GraphError, validate_lt
+
+# Relative slack on `gain_bound`: a computed gain can sit an ulp above the
+# exact-arithmetic bound.
+BOUND_SLACK = 1e-9
 
 
 class StaleReportError(RuntimeError):
@@ -79,7 +88,9 @@ class HopState:
     q1[v] = P[v not active within one hop], q2[v] likewise for two hops
     (only present when hops == 2). Seeds hold q = 0. With two hops,
     x1[e] = in_prob[e] * (1 - q1[in_src[e]]) is each incoming edge's
-    one-hop transmission. `sigma` tracks the running hop-limited spread.
+    one-hop transmission and out_weight[v] the sum of v's out-edge
+    probabilities, read by `gain_bound`. `sigma` tracks the running
+    hop-limited spread.
     """
 
     __slots__ = (
@@ -91,6 +102,7 @@ class HopState:
         "q1",
         "q2",
         "x1",
+        "out_weight",
         "sigma",
         "version",
     )
@@ -105,6 +117,7 @@ class HopState:
         self.q1 = np.ones(n)
         self.q2 = np.ones(n) if hops == 2 else None
         self.x1 = np.zeros(graph.edge_count) if hops == 2 else None
+        self.out_weight = segment_sum(graph.out_prob, graph.out_indptr) if hops == 2 else None
         self.sigma = 0.0
         self.version = 0
 
@@ -130,22 +143,46 @@ def init_state(g, model="ic", hops=2):
     return HopState(g, model, hops)
 
 
+def _one_hop(s, u):
+    """Candidate `u`'s non-seed out-neighbors ws, their one-hop survival and
+    their would-be one-hop survival once u is a seed."""
+    u = int(u)
+    if not 0 <= u < s.graph.node_count:
+        raise ValueError(f"node id {u} out of range")
+    if s.seed_mask[u]:
+        raise ValueError(f"node {u} is already a seed")
+    nbrs, ps = s.graph.out_edges(u)
+    keep = ~s.seed_mask[nbrs]
+    ws = nbrs[keep]
+    q1w = s.q1[ws]
+    # LT in-weights may sum to 1 + LT_WEIGHT_TOLERANCE, so only q1 - b can leave [0, 1].
+    q1w_new = q1w * (1.0 - ps[keep]) if s.model == "ic" else np.maximum(q1w - ps[keep], 0.0)
+    return u, ws, q1w, q1w_new
+
+
+def gain_bound(state, u):
+    """Upper bound on the two-hop gain of adding `u`, in O(out-degree of u).
+
+    A fall of q1 at node c raises the transmission of each out-edge of c by
+    p * (fall), and a node's two-hop survival falls by at most the sum of its
+    in-edges' rises (IC: telescoping the product; LT: the sum, which clipping
+    only shrinks). Adding u lowers q1 at u to 0 and at each w in ws to its
+    would-be value, so the gain is at most q2[u] + q1[u] W[u] + sum over ws of
+    (q1[w] - q1'[w]) W[w], W being each node's total out-probability. At the
+    empty seed set this is `upper_bounds(g, 2)`. BOUND_SLACK covers the
+    rounding of the gain's own evaluation.
+    """
+    s = state
+    u, ws, q1w, q1w_new = _one_hop(s, u)
+    b = s.q2[u] + s.q1[u] * s.out_weight[u] + float((q1w - q1w_new) @ s.out_weight[ws])
+    return b + BOUND_SLACK * max(1.0, b)
+
+
 def eval_gain(state, u):
     """Exact marginal hop-limited gain of adding `u`, without changing state."""
     s = state
     g, q1 = s.graph, s.q1
-    u = int(u)
-    if not 0 <= u < g.node_count:
-        raise ValueError(f"node id {u} out of range")
-    if s.seed_mask[u]:
-        raise ValueError(f"node {u} is already a seed")
-
-    nbrs, ps = g.out_edges(u)
-    keep = ~s.seed_mask[nbrs]
-    ws = nbrs[keep]
-    q1w = q1[ws]
-    # LT in-weights may sum to 1 + LT_WEIGHT_TOLERANCE, so only q1 - b can leave [0, 1].
-    q1w_new = q1w * (1.0 - ps[keep]) if s.model == "ic" else np.maximum(q1w - ps[keep], 0.0)
+    u, ws, q1w, q1w_new = _one_hop(s, u)
     q1_nodes = np.concatenate(([u], ws))
     q1_values = np.concatenate(([0.0], q1w_new))
     if s.hops == 1:

@@ -74,11 +74,12 @@ def _cascade(g, seed_ids, model, hop_limit, rng, record_levels=False):
         pos = gather_rows(g.out_indptr, frontier)[0]
         if len(pos) == 0:
             break
-        targets = g.out_dst[pos]
         if model == "ic":
-            hit = targets[rng.random(len(pos)) < g.out_prob[pos]]
+            pos = pos[rng.random(len(pos)) < g.out_prob[pos]]
+            hit = g.out_dst[pos]
             frontier = sorted_unique(hit[~active[hit]])
         else:
+            targets = g.out_dst[pos]
             np.add.at(acc, targets, g.out_prob[pos])
             cand = sorted_unique(targets)
             cand = cand[~active[cand]]

@@ -1,14 +1,29 @@
 """Seed selection: lazy greedy with optional upper-bound bootstrap, a naive
 full-evaluation greedy for cross-checking, and the degree heuristics.
 
-Submodularity makes every previously computed marginal gain a valid upper
-bound on the current one, so the lazy greedy keeps one max-heap of
-(cached gain, node, round) entries and re-evaluates the top until an entry
-evaluated in the current round comes out. That entry is the round's best
-report, and it is committed as is. The heap starts from the closed-form
-single-seed bounds (`bootstrap="upper_bounds"`, valid under either diffusion
-model), which removes the full first pass, or from infinite bounds
-(`bootstrap="none"`), which evaluates every node once.
+The lazy greedy keeps one max-heap of (-key, node, stamp) entries, where
+stamp = 2 * round + exact, and each key is an upper bound on the node's
+current marginal gain. A key is one of three kinds:
+
+- a bound from an earlier round: the closed-form single-seed bound it
+  started with, or a bound or exact gain computed against an older seed
+  set. With two hops a pop of such a key is re-keyed with
+  `gain_bound` against the current seed set, in O(out-degree), and pushed
+  back as this round's bound. With one hop it is evaluated at once, since
+  a one-hop evaluation costs what a bound would.
+- this round's bound: a pop gets a full `eval_gain`, and the node goes
+  back with its exact gain.
+- this round's exact gain: since every other key bounds its node's gain, a
+  pop is the round's best report, and it is committed as is.
+
+The heap starts from the closed-form single-seed bounds
+(`bootstrap="upper_bounds"`, valid under either diffusion model), which
+removes the full first pass, or from infinite bounds (`bootstrap="none"`),
+which evaluates every node once. Bounds carry the relative slack
+`BOUND_SLACK`, so no two-hop key sits below the gain later computed from
+it, even by an ulp. A kept exact gain of an earlier round can, and on a
+1-ulp near-tie it would let the lazy greedy pick differently from
+`greedy_naive`.
 
 All ties break toward the smaller node id, both in the heap order and in the
 naive argmax, so the two paths return identical seed sequences.
@@ -24,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import upper_bounds
-from .hop_estimator import commit, eval_gain, init_state
+from .hop_estimator import BOUND_SLACK, commit, eval_gain, gain_bound, init_state
 
 
 @dataclass(frozen=True)
@@ -37,6 +52,7 @@ class SeedResult:
     elapsed: float
     evaluations: int
     spread: float = 0.0
+    bound_refreshes: int = 0
     hops: int | None = None
     model: str | None = None
 
@@ -62,30 +78,36 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
     if bootstrap == "none":
         bounds = [math.inf] * g.node_count
     else:
-        bounds = upper_bounds(g, hops).values.tolist()
-    # (-cached gain, node, round evaluated in): the largest gain pops first,
-    # ties toward the smaller id; round -1 marks a bound never evaluated.
-    heap = [(-b, v, -1) for v, b in enumerate(bounds)]
+        ub = upper_bounds(g, hops).values
+        bounds = (ub + BOUND_SLACK * np.maximum(ub, 1.0)).tolist()
+    # The largest key pops first, ties toward the smaller id; the bootstrap
+    # keys are round 0's bounds.
+    heap = [(-b, v, 0) for v, b in enumerate(bounds)]
     heapq.heapify(heap)
     evaluations = 0
+    bound_refreshes = 0
     best = None
     seeds = []
     gains = []
     while len(seeds) < k:
-        _, node, evaluated_in = heapq.heappop(heap)
-        if evaluated_in == len(seeds):
-            # Every report of this round is still queued at its own gain, so
-            # a fresh pop is the round's best report.
+        _, node, stamp = heapq.heappop(heap)
+        now = 2 * len(seeds)
+        if stamp == now + 1:
+            # Every other key bounds its node's gain, so this round's exact
+            # pop is the round's best report.
             commit(state, best)
             seeds.append(node)
             gains.append(best.gain)
             best = None
-            continue
-        report = eval_gain(state, node)
-        evaluations += 1
-        if best is None or (report.gain, -node) > (best.gain, -best.candidate):
-            best = report
-        heapq.heappush(heap, (-report.gain, node, len(seeds)))
+        elif stamp < now and hops == 2:
+            heapq.heappush(heap, (-gain_bound(state, node), node, now))
+            bound_refreshes += 1
+        else:
+            report = eval_gain(state, node)
+            evaluations += 1
+            if best is None or (report.gain, -node) > (best.gain, -best.candidate):
+                best = report
+            heapq.heappush(heap, (-report.gain, node, now + 1))
     elapsed = time.perf_counter() - t0
     name = ("twohop" if hops == 2 else "onehop") + ("-o" if bootstrap == "none" else "")
     return SeedResult(
@@ -97,6 +119,7 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
         spread=state.spread(),
         hops=hops,
         model=model,
+        bound_refreshes=bound_refreshes,
     )
 
 

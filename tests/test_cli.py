@@ -32,6 +32,22 @@ class TestSelect:
         assert payload["marginal_gains"][0] == pytest.approx(1.75, abs=1e-12)
         assert payload["algorithm"] == "twohop"
 
+    def test_reports_evaluations_and_bound_refreshes(self, tmp_path):
+        # Two chains. After 0 (0 -> 1 -> 2) is picked, the stale round-0 keys
+        # of 1 and 3 (3 -> 4) pop next: two hops re-bound both (1 falls to
+        # 0.75) and evaluate only 3. One hop evaluates every pop: 1 and 3
+        # already in round 0 (their bounds, 1.5 plus slack, outrank 0's
+        # exact 1.5), then both again in round 1.
+        path = tmp_path / "chains.txt"
+        path.write_text("0 1 0.5\n1 2 0.5\n3 4 0.5\n")
+        out = tmp_path / "sel.json"
+        for algo, evaluations, refreshes in (("twohop", 2, 2), ("onehop", 5, 0)):
+            assert main(["select", "--graph", str(path), "--model", "file", "--algo", algo,
+                         "--k", "2", "--out", str(out)]) == 0
+            payload = read_json(out)
+            assert payload["seeds"] == [0, 3]
+            assert (payload["evaluations"], payload["bound_refreshes"]) == (evaluations, refreshes)
+
     def test_twohop_o_same_seeds(self, chain_file, tmp_path):
         out = tmp_path / "sel.json"
         assert main(["select", "--graph", chain_file, "--model", "file", "--algo", "twohop-o",

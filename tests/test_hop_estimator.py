@@ -17,8 +17,9 @@ from conftest import (
     reference_activation,
 )
 from hopspread import hop_estimator
+from hopspread.bounds import upper_bounds
 from hopspread.graph import Graph, GraphError
-from hopspread.hop_estimator import StaleReportError, commit, eval_gain, init_state, spread
+from hopspread.hop_estimator import BOUND_SLACK, StaleReportError, commit, eval_gain, gain_bound, init_state, spread
 from hopspread.oracle import exact_spread
 
 
@@ -340,6 +341,8 @@ class TestStateIsItsSeedSet:
         sigma, version = s.sigma, s.version
         for u in np.flatnonzero(~s.seed_mask):
             eval_gain(s, int(u))
+            if hops == 2:
+                gain_bound(s, int(u))
         assert (s.sigma, s.version, len(s.seeds)) == (sigma, version, 20)
 
     @pytest.mark.parametrize("model", ["ic", "lt"])
@@ -360,3 +363,44 @@ class TestStateIsItsSeedSet:
             if hops == 2:
                 # The per-edge transmission is the closed form of q1, bit for bit.
                 assert s.x1.tobytes() == (g.in_prob * (1.0 - s.q1[g.in_src])).tobytes()
+
+
+class TestGainBound:
+    """`gain_bound` dominates the two-hop gain at every seed set."""
+
+    @staticmethod
+    def graphs(rng):
+        for _ in range(12):
+            yield "ic", random_ic_graph(rng, n_max=25, m_max=60, n_min=5, p_one_frac=0.2)
+            yield "lt", random_lt_graph(rng, n_max=25, m_max=60, n_min=5, p_one_frac=0.2)
+        for n in (30, 60):
+            g = random_graph_with_cycles(rng, n=n)
+            yield "ic", g
+            yield "lt", lt_admissible(g)
+
+    def test_bound_dominates_gain_after_every_commit(self):
+        rng = np.random.default_rng(77)
+        sinks = 0
+        for model, g in self.graphs(rng):
+            sinks += int((g.out_degrees() == 0).sum())
+            s = init_state(g, model, 2)
+            for v in rng.permutation(g.node_count)[: g.node_count - 1]:
+                commit(s, eval_gain(s, int(v)))
+                for u in np.flatnonzero(~s.seed_mask):
+                    assert eval_gain(s, int(u)).gain <= gain_bound(s, int(u))
+        assert sinks > 0
+
+    def test_empty_seed_set_bound_is_upper_bounds(self):
+        rng = np.random.default_rng(78)
+        for model, g in self.graphs(rng):
+            s = init_state(g, model, 2)
+            bound = np.array([gain_bound(s, u) for u in range(g.node_count)])
+            # At S = {} every bound is at least 1, so the slack is BOUND_SLACK * bound.
+            np.testing.assert_allclose(bound / (1.0 + BOUND_SLACK), upper_bounds(g, 2).values, rtol=1e-12, atol=0)
+
+    def test_rejects_seed_and_out_of_range(self, chain_graph):
+        s = init_state(chain_graph, "ic", 2)
+        commit(s, eval_gain(s, 0))
+        for bad in (0, -1, 3):
+            with pytest.raises(ValueError):
+                gain_bound(s, bad)

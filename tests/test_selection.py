@@ -76,6 +76,55 @@ class TestCelfMatchesNaive:
         assert len(set(calls)) == len(calls)
 
 
+class TestStateAwareBounds:
+    """Two-hop CELF re-bounds stale keys with `gain_bound` before evaluating."""
+
+    # Two-hop IC/LT evaluations on the pinned graph below, k=20, before stale
+    # keys were re-bounded (every stale pop was fully evaluated).
+    PARENT_EVALUATIONS = {"ic": 88, "lt": 42}
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_every_evaluated_gain_is_at_most_its_key(self, monkeypatch, model):
+        g = apply_weight_model(power_law_graph(20000, 200000), WeightModel("wc"))
+        popped = {}
+        pairs = []
+        heappop, eval_gain = selection.heapq.heappop, selection.eval_gain
+
+        def recording_heappop(heap):
+            entry = heappop(heap)
+            popped[entry[1]] = -entry[0]
+            return entry
+
+        def recording_eval_gain(state, node):
+            report = eval_gain(state, node)
+            pairs.append((report.gain, popped[node]))
+            return report
+
+        monkeypatch.setattr(selection.heapq, "heappop", recording_heappop)
+        monkeypatch.setattr(selection, "eval_gain", recording_eval_gain)
+        res = greedy_celf(g, 100, model=model, hops=2)
+        assert len(pairs) == res.evaluations
+        assert all(gain <= key for gain, key in pairs)
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_same_seeds_and_gains_as_naive(self, model):
+        g = apply_weight_model(power_law_graph(1200, 5000, rng_seed=3), WeightModel("wc"))
+        # Greedy is prefix-consistent: naive k=10 is the first ten picks of naive k=20.
+        naive = greedy_naive(g, 20, model=model, hops=2)
+        for k in (10, 20):
+            lazy = greedy_celf(g, k, model=model, hops=2)
+            assert lazy.seeds == naive.seeds[:k]
+            assert lazy.marginal_gains == naive.marginal_gains[:k]
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_fewer_evaluations_than_without_bounds(self, model):
+        g = apply_weight_model(power_law_graph(1200, 5000, rng_seed=3), WeightModel("wc"))
+        res = greedy_celf(g, 20, model=model, hops=2)
+        assert res.evaluations < self.PARENT_EVALUATIONS[model]
+        assert res.bound_refreshes > 0
+        assert greedy_celf(g, 20, model=model, hops=1).bound_refreshes == 0
+
+
 class TestSelectionContracts:
     def test_tie_break_on_symmetric_components(self):
         g = Graph(4, [0, 2], [1, 3], [1.0, 1.0])
