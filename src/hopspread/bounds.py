@@ -13,14 +13,11 @@ empty seed set; `gain_bound` re-evaluates it against a nonempty one.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._segments import segment_sum
-
-_cache = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -32,13 +29,10 @@ class UpperBounds:
 
 
 def upper_bounds(g, h):
-    """Compute (and cache per graph and hop count) the single-seed bounds."""
+    """The single-seed bounds at hop count h, in a new array per call."""
     if h < 0:
         raise ValueError("hop count must be non-negative")
-    per_graph = _cache.setdefault(g, {})
-    if h not in per_graph:
-        values = np.ones(g.node_count)
-        for _ in range(h):
-            values = 1.0 + segment_sum(g.out_prob * values[g.out_dst], g.out_indptr)
-        per_graph[h] = UpperBounds(h=h, values=values)
-    return per_graph[h]
+    values = np.ones(g.node_count)
+    for _ in range(h):
+        values = 1.0 + segment_sum(g.out_prob * values[g.out_dst], g.out_indptr)
+    return UpperBounds(h=h, values=values)

@@ -39,26 +39,34 @@ def _fresh_seed():
     return int(np.random.SeedSequence().entropy) % (2**63)
 
 
-def _parse_grid(text):
+def _convert(kind, text, flag):
+    """`kind(text)` (int or float), or a ConfigError naming `flag`."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{flag}: {text.strip()!r} is not {'an integer' if kind is int else 'a number'}") from None
+
+
+def _parse_grid(text, flag):
     """Grid axis: comma list "0,0.05,0.1" or linspace "start:stop:count"."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"grid must be start:stop:count, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            raise ConfigError(f"{flag}: grid must be start:stop:count, got {text!r}")
+        start, stop, count = (_convert(kind, t, flag) for kind, t in zip((float, float, int), parts))
         if count < 1:
-            raise ConfigError("grid count must be at least 1")
+            raise ConfigError(f"{flag}: grid count must be at least 1")
         return np.linspace(start, stop, count).tolist()
-    values = [float(v) for v in text.split(",") if v.strip()]
+    values = [_convert(float, v, flag) for v in text.split(",") if v.strip()]
     if not values:
-        raise ConfigError(f"empty grid {text!r}")
+        raise ConfigError(f"{flag}: empty grid {text!r}")
     return values
 
 
-def _parse_list(text, kind, what):
-    values = [kind(v) for v in text.split(",") if v.strip()]
+def _parse_list(text, kind, flag):
+    values = [_convert(kind, v, flag) for v in text.split(",") if v.strip()]
     if not values:
-        raise ConfigError(f"empty {what} sweep")
+        raise ConfigError(f"{flag}: empty sweep")
     return values
 
 
@@ -91,6 +99,8 @@ def _select_once(g, algo, k, diffusion, dd_p, degree_kind):
     if algo == "highdegree":
         return high_degree(g, k, degree=degree_kind)
     if algo == "degreediscount":
+        if not 0.0 <= dd_p <= 1.0:
+            raise ConfigError(f"--dd-p must be in [0, 1], got {dd_p:g}")
         return degree_discount(g, k, p=dd_p)
     hops = 1 if algo == "onehop" else 2
     bootstrap = "none" if algo == "twohop-o" else "upper_bounds"
@@ -231,7 +241,8 @@ def cmd_bounds(args):
 
 
 def cmd_alpha_surface(args):
-    rows = alpha_surface(args.gamma, _parse_grid(args.p_grid), _parse_grid(args.ratio_grid), truncation=args.truncation)
+    p_grid, ratio_grid = _parse_grid(args.p_grid, "--p-grid"), _parse_grid(args.ratio_grid, "--ratio-grid")
+    rows = alpha_surface(args.gamma, p_grid, ratio_grid, truncation=args.truncation)
     _emit(args, format_surface_csv(rows))
     return 0
 
@@ -240,8 +251,8 @@ def cmd_bench(args):
     _check_sim_flags(args)
     if args.scale != 1.0:
         raise ConfigError(f"bench sweeps --scales, not --scale: use --scales {args.scale:g}")
-    scales = _parse_list(args.scales, float, "scale-factor")
-    ks = _parse_list(args.ks, int, "k")
+    scales = _parse_list(args.scales, float, "--scales")
+    ks = _parse_list(args.ks, int, "--ks")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:
         raise ConfigError("empty algorithm sweep")
@@ -255,8 +266,11 @@ def cmd_bench(args):
         parts = args.synthetic.split(",")
         if len(parts) != 3:
             raise ConfigError("--synthetic must be n,m,gamma")
-        n, m, gamma = int(parts[0]), int(parts[1]), float(parts[2])
-        base = power_law_graph(n, m, gamma=gamma, rng_seed=rng_seed)
+        n, m, gamma = (_convert(kind, t, "--synthetic") for kind, t in zip((int, int, float), parts))
+        try:
+            base = power_law_graph(n, m, gamma=gamma, rng_seed=rng_seed)
+        except ValueError as e:
+            raise ConfigError(f"--synthetic {args.synthetic}: {e}") from None
     else:
         base = load_edge_list(args.graph, num_nodes=args.num_nodes)
     lines = ["algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds"]

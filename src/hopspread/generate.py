@@ -47,6 +47,8 @@ def power_law_graph(n, m, gamma=2.3, rng_seed=0):
     m = int(m)
     if n < 2 or m < 1:
         raise ValueError("need at least 2 nodes and 1 edge")
+    if not 1.0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and above 1, got {gamma}")
     rng = _rng(rng_seed)
     # Chung-Lu style weights: w_i ~ (i+1)^(-1/(gamma-1)) yields exponent gamma.
     w = np.power(np.arange(1, n + 1, dtype=np.float64), -1.0 / (gamma - 1.0))

@@ -1,11 +1,12 @@
 """Directed probability-weighted graphs in compressed adjacency form.
 
-A `Graph` is immutable after construction and keeps two CSR views: outgoing
-edges sorted by (source, target) and incoming edges sorted by (target,
-source), and `out_to_in` gives each outgoing edge's index in the incoming
-view. Node ids are densified to 0..n-1; `original_ids` maps internal ids
-back to the ids seen in the input so results can be reported in the caller's
-id space.
+A `Graph` is immutable after construction and stores each edge once, in
+the outgoing CSR view sorted by (source, target). The incoming view, edges
+sorted by (target, source), is an index only: `in_indptr` bounds each
+target's row and `out_to_in` gives each outgoing edge's position in it.
+Node ids are densified to 0..n-1; `original_ids` maps internal ids back to
+the ids seen in the input so results can be reported in the caller's id
+space.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._segments import segment_sum, sorted_unique
+from ._segments import sorted_unique
 
 LT_WEIGHT_TOLERANCE = 1e-9
 TRIVALENCY_PROBS = (0.1, 0.01, 0.001)
@@ -43,15 +44,12 @@ class Graph:
         "out_dst",
         "out_prob",
         "in_indptr",
-        "in_src",
-        "in_prob",
         "original_ids",
         "out_to_in",
-        "__weakref__",
     )
 
     def __init__(self, node_count, src, dst, prob, original_ids=None):
-        """Build both adjacency views from parallel edge arrays.
+        """Build the outgoing view and the incoming index from parallel edge arrays.
 
         Rejects self-loops, duplicate (u, v) pairs, out-of-range endpoints,
         and probabilities outside [0, 1]. Errors name nodes by `original_ids`.
@@ -108,7 +106,6 @@ class Graph:
             if dup.any():
                 u, v = divmod(int(key[dup.argmax()]), 1 << node_bits)
                 raise GraphError(f"duplicate edge {int(original_ids[u])}->{int(original_ids[v])}")
-        out_src = (key >> np.uint64(node_bits)).astype(idx_dtype)
         key &= np.uint64((1 << node_bits) - 1)
         self.out_dst = key.astype(idx_dtype)
 
@@ -120,8 +117,6 @@ class Graph:
         key.sort()
         key &= np.uint64((1 << edge_bits) - 1)
         in_order = key.view(np.int64)
-        self.in_src = out_src[in_order]
-        self.in_prob = self.out_prob[in_order]
         self.out_to_in = np.empty(m, dtype=np.int32 if m <= np.iinfo(np.int32).max else np.int64)
         self.out_to_in[in_order] = np.arange(m, dtype=self.out_to_in.dtype)
         self.original_ids = original_ids
@@ -130,11 +125,6 @@ class Graph:
         """(targets, probabilities) array views for node u's outgoing edges."""
         lo, hi = self.out_indptr[u], self.out_indptr[u + 1]
         return self.out_dst[lo:hi], self.out_prob[lo:hi]
-
-    def in_edges(self, v):
-        """(sources, probabilities) array views for node v's incoming edges."""
-        lo, hi = self.in_indptr[v], self.in_indptr[v + 1]
-        return self.in_src[lo:hi], self.in_prob[lo:hi]
 
     def out_degrees(self):
         return np.diff(self.out_indptr)
@@ -167,9 +157,6 @@ class Graph:
         g.out_dst = self.out_dst
         g.out_prob = out_prob
         g.in_indptr = self.in_indptr
-        g.in_src = self.in_src
-        g.in_prob = np.empty(self.edge_count)
-        g.in_prob[self.out_to_in] = out_prob
         g.out_to_in = self.out_to_in
         g.original_ids = self.original_ids
         return g
@@ -399,8 +386,7 @@ def apply_weight_model(g, model):
     WC sets p(u,v) = 1/|in-neighbors of v|; TRIVALENCY draws each edge's
     probability from {0.1, 0.01, 0.001} with a seeded generator over the
     canonical (source, target) edge order; UNIFORM uses a constant. The
-    result is scaled by `model.scale_factor` and clamped to [0, 1] on both
-    adjacency views.
+    result is scaled by `model.scale_factor` and clamped to [0, 1].
     """
     if model.variant == "wc":
         indeg = g.in_degrees()
@@ -430,6 +416,7 @@ def validate_lt(g):
 
     An empty list means the graph is admissible for threshold diffusion.
     """
-    sums = segment_sum(g.in_prob, g.in_indptr)
+    # bincount adds each target's weights in ascending-source order.
+    sums = np.bincount(g.out_dst, weights=g.out_prob, minlength=g.node_count)
     bad = np.nonzero(sums > 1.0 + LT_WEIGHT_TOLERANCE)[0]
     return [int(v) for v in bad]

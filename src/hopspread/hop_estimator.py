@@ -87,9 +87,9 @@ class HopState:
 
     q1[v] = P[v not active within one hop], q2[v] likewise for two hops
     (only present when hops == 2). Seeds hold q = 0. With two hops,
-    x1[e] = in_prob[e] * (1 - q1[in_src[e]]) is each incoming edge's
-    one-hop transmission and out_weight[v] the sum of v's out-edge
-    probabilities, read by `gain_bound`. `sigma` tracks the running
+    x1[out_to_in[e]] = out_prob[e] * (1 - q1[source of e]) is out-edge e's
+    one-hop transmission, stored in incoming-view order, and out_weight[v]
+    the sum of v's out-edge probabilities, read by `gain_bound`. `sigma` tracks the running
     hop-limited spread.
     """
 

@@ -178,10 +178,10 @@ def _outcome_chunks(g, model):
     with probability w_uv and none with 1 - sum of v's in-weights.
     """
     n, m = g.node_count, g.edge_count
+    src = np.repeat(np.arange(n, dtype=np.int64), g.out_degrees())
     if model == "ic":
         if m > IC_ENUM_EDGE_LIMIT:
             raise ValueError(f"instance too large for enumeration: {m} edges > {IC_ENUM_EDGE_LIMIT}")
-        src = np.repeat(np.arange(n, dtype=np.int64), g.out_degrees())
         p = g.out_prob[:, None]
         total = 1 << m
         for lo in range(0, total, _ENUM_CHUNK):
@@ -199,16 +199,17 @@ def _outcome_chunks(g, model):
                 raise ValueError("instance too large for enumeration: choice space exceeds limit")
         strides = np.ones(n, dtype=np.int64)
         np.cumprod(indeg[:-1] + 1, out=strides[1:])
-        dst = np.repeat(np.arange(n, dtype=np.int64), indeg)
-        slot = np.arange(m) - g.in_indptr[dst]
-        none_p = np.clip(1.0 - np.bincount(dst, weights=g.in_prob, minlength=n), 0.0, 1.0)
+        slot = g.out_to_in - g.in_indptr[g.out_dst]
+        in_prob = np.empty(m)
+        in_prob[g.out_to_in] = g.out_prob
+        none_p = np.clip(1.0 - np.bincount(g.out_dst, weights=g.out_prob, minlength=n), 0.0, 1.0)
         # Node v's choices: its in-edges in order, then none, from offset in_indptr[v] + v.
-        choice_p = np.insert(g.in_prob, g.in_indptr[1:], none_p)
+        choice_p = np.insert(in_prob, g.in_indptr[1:], none_p)
         first = (g.in_indptr[:-1] + np.arange(n))[:, None]
         for lo in range(0, space, _ENUM_CHUNK):
             outcomes = np.arange(lo, min(lo + _ENUM_CHUNK, space), dtype=np.int64)
             choice = (outcomes // strides[:, None]) % (indeg + 1)[:, None]
-            yield g.in_src, dst, choice_p[first + choice].prod(axis=0), choice[dst] == slot[:, None]
+            yield src, g.out_dst, choice_p[first + choice].prod(axis=0), choice[g.out_dst] == slot[:, None]
     else:
         raise ValueError(f"unknown diffusion model {model!r}")
 

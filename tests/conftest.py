@@ -79,6 +79,13 @@ def random_lt_graph(rng, n_max=6, m_max=8, n_min=2, p_one_frac=0.0):
     return g._with_probs(g.out_prob * scale[g.out_dst])
 
 
+def in_edges(g, v):
+    """(sources, probabilities) of node v's incoming edges, in ascending-source
+    order, read from the outgoing view."""
+    into = g.out_dst == v
+    return np.repeat(np.arange(g.node_count), g.out_degrees())[into], g.out_prob[into]
+
+
 def reference_activation(g, seeds, hops, model="ic"):
     """Per-node activation probabilities recomputed directly from the seed set."""
     n = g.node_count
@@ -86,7 +93,7 @@ def reference_activation(g, seeds, hops, model="ic"):
     smask[list(seeds)] = True
     pi1 = np.empty(n)
     for v in range(n):
-        srcs, ps = g.in_edges(v)
+        srcs, ps = in_edges(g, v)
         if smask[v]:
             pi1[v] = 1.0
         elif model == "ic":
@@ -97,7 +104,7 @@ def reference_activation(g, seeds, hops, model="ic"):
         return pi1
     pi2 = np.empty(n)
     for v in range(n):
-        srcs, ps = g.in_edges(v)
+        srcs, ps = in_edges(g, v)
         if smask[v]:
             pi2[v] = 1.0
         elif model == "ic":

@@ -5,8 +5,10 @@ import pytest
 
 from conftest import random_ic_graph
 from hopspread.bounds import upper_bounds
-from hopspread.graph import Graph
+from hopspread.generate import power_law_graph
+from hopspread.graph import Graph, WeightModel, apply_weight_model
 from hopspread.hop_estimator import eval_gain, init_state
+from hopspread.selection import greedy_celf
 
 
 class TestChainValues:
@@ -65,9 +67,13 @@ class TestTreeTightness:
                 assert abs(ub[v] - eval_gain(state, v).gain) < 1e-9
 
 
-class TestCaching:
-    def test_same_object_returned(self, chain_graph):
-        assert upper_bounds(chain_graph, 2) is upper_bounds(chain_graph, 2)
+class TestCalls:
+    def test_mutating_returned_bounds_leaves_selection_unchanged(self):
+        g = apply_weight_model(power_law_graph(2000, 10000, rng_seed=3), WeightModel("wc"))
+        before = greedy_celf(g, 5)
+        upper_bounds(g, 2).values[0] = 0.0
+        after = greedy_celf(g, 5)
+        assert (after.seeds, after.spread) == (before.seeds, before.spread)
 
     def test_negative_hops_rejected(self, chain_graph):
         with pytest.raises(ValueError):

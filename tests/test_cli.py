@@ -124,19 +124,33 @@ class TestSelect:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["select", "--model", "tri:abc", "--algo", "onehop", "--k", "1"], "--model tri:abc"),
-            (["select", "--model", "file", "--scale", "inf", "--algo", "onehop", "--k", "1"], "--scale inf"),
-            (["evaluate", "--seeds-file", "seeds.txt", "--hop-limit", "-1"], "--hop-limit"),
-            (["bench", "--model", "file", "--scales", "inf", "--algos", "highdegree", "--ks", "1"], "--scales inf"),
-            (["bench", "--model", "file", "--scale", "5", "--algos", "highdegree", "--ks", "1"], "use --scales 5"),
+            (["select", "--graph", "g.txt", "--model", "tri:abc", "--algo", "onehop", "--k", "1"], "--model tri:abc"),
+            (["select", "--graph", "g.txt", "--model", "file", "--scale", "inf", "--algo", "onehop", "--k", "1"],
+             "--scale inf"),
+            (["evaluate", "--graph", "g.txt", "--seeds-file", "seeds.txt", "--hop-limit", "-1"], "--hop-limit"),
+            (["bench", "--graph", "g.txt", "--model", "file", "--scales", "inf", "--algos", "highdegree", "--ks", "1"],
+             "--scales inf"),
+            (["bench", "--graph", "g.txt", "--model", "file", "--scale", "5", "--algos", "highdegree", "--ks", "1"],
+             "use --scales 5"),
+            (["alpha-surface", "--p-grid", "a:b:3"], "--p-grid: 'a'"),
+            (["alpha-surface", "--p-grid", "0:1:x"], "--p-grid: 'x'"),
+            (["alpha-surface", "--ratio-grid", "a:b:3"], "--ratio-grid: 'a'"),
+            (["alpha-surface", "--ratio-grid", "0:1:x"], "--ratio-grid: 'x'"),
+            (["bench", "--graph", "g.txt", "--ks", "x"], "--ks: 'x'"),
+            (["bench", "--graph", "g.txt", "--scales", "y"], "--scales: 'y'"),
+            (["bench", "--synthetic", "60,x,2.5"], "--synthetic: 'x'"),
+            (["bench", "--synthetic", "60,200,1.0", "--algos", "highdegree"], "--synthetic 60,200,1.0: gamma"),
+            (["select", "--graph", "g.txt", "--dd-p", "2", "--algo", "degreediscount", "--k", "1"], "--dd-p"),
         ],
-        ids=["model", "scale", "hop-limit", "bench-scales", "bench-scale"],
+        ids=["model", "scale", "hop-limit", "bench-scales", "bench-scale", "p-grid-bounds", "p-grid-count",
+             "ratio-grid-bounds", "ratio-grid-count", "bench-ks", "bench-scales-number", "synthetic-m",
+             "synthetic-gamma", "dd-p"],
     )
     def test_bad_flag_value_is_config_error_naming_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "g.txt").write_text("10 20 0\n20 30 0.5\n")
         (tmp_path / "seeds.txt").write_text("10\n")
-        assert main(argv + ["--graph", "g.txt"]) == 1
+        assert main(argv) == 1
         assert flag in capsys.readouterr().err
 
     def test_k_too_large_is_data_error(self, chain_file):

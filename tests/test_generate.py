@@ -1,4 +1,4 @@
-"""Synthetic generators: the power-law generator's duplicate-pair trim."""
+"""Synthetic generators: the power-law generator's duplicate-pair trim and input checks."""
 
 import numpy as np
 import pytest
@@ -36,3 +36,13 @@ class TestFirstOccurrences:
             assert g.edge_count == ref.edge_count
             assert np.array_equal(g.out_indptr, ref.out_indptr)
             assert np.array_equal(g.out_dst, ref.out_dst)
+
+
+class TestPowerLawGraphInputs:
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, -2.0, float("inf"), float("nan")])
+    def test_gamma_at_most_one_or_not_finite_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and above 1"):
+            power_law_graph(60, 200, gamma=gamma)
+
+    def test_gamma_just_above_one_builds(self):
+        assert 0 < power_law_graph(60, 200, gamma=1.01).edge_count <= 200

@@ -362,7 +362,9 @@ class TestStateIsItsSeedSet:
             assert abs(spread(s) - ref.sum()) < 1e-12 * n
             if hops == 2:
                 # The per-edge transmission is the closed form of q1, bit for bit.
-                assert s.x1.tobytes() == (g.in_prob * (1.0 - s.q1[g.in_src])).tobytes()
+                x1 = np.empty(g.edge_count)
+                x1[g.out_to_in] = g.out_prob * (1.0 - s.q1[np.repeat(np.arange(n), g.out_degrees())])
+                assert s.x1.tobytes() == x1.tobytes()
 
 
 class TestGainBound:

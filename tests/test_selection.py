@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_ic_graph, random_lt_graph
+from conftest import in_edges, random_ic_graph, random_lt_graph
 from hopspread import selection
 from hopspread.graph import Graph, WeightModel, apply_weight_model
 from hopspread.generate import power_law_graph
@@ -224,7 +224,7 @@ class TestDegreeDiscount:
                 for v in range(g.node_count):
                     if v in chosen:
                         continue
-                    srcs, _ = g.in_edges(v)
+                    srcs, _ = in_edges(g, v)
                     t = sum(1 for u in srcs if int(u) in chosen)
                     dd = d[v] - 2 * t - (d[v] - t) * t * p
                     if best_dd is None or dd > best_dd:
