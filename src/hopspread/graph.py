@@ -1,12 +1,12 @@
 """Directed probability-weighted graphs in compressed adjacency form.
 
 A `Graph` is immutable after construction and stores each edge once, in
-the outgoing CSR view sorted by (source, target). The incoming view, edges
-sorted by (target, source), is an index only: `in_indptr` bounds each
-target's row and `out_to_in` gives each outgoing edge's position in it.
-Node ids are densified to 0..n-1; `original_ids` maps internal ids back to
-the ids seen in the input so results can be reported in the caller's id
-space.
+the outgoing CSR view sorted by (source, target): a target id and a
+probability per edge, a row offset and an original id per node. Nothing
+reads edges by target, so there is no incoming view; in-degrees are
+counted from the targets. Node ids are densified to 0..n-1;
+`original_ids` maps internal ids back to the ids seen in the input so
+results can be reported in the caller's id space.
 """
 
 from __future__ import annotations
@@ -43,13 +43,11 @@ class Graph:
         "out_indptr",
         "out_dst",
         "out_prob",
-        "in_indptr",
         "original_ids",
-        "out_to_in",
     )
 
     def __init__(self, node_count, src, dst, prob, original_ids=None):
-        """Build the outgoing view and the incoming index from parallel edge arrays.
+        """Build the outgoing view from parallel edge arrays.
 
         Rejects self-loops, duplicate (u, v) pairs, out-of-range endpoints,
         and probabilities outside [0, 1]. Errors name nodes by `original_ids`.
@@ -61,16 +59,11 @@ class Graph:
         if not (len(src) == len(dst) == len(prob)):
             raise GraphError("edge arrays must have equal length")
         m = len(src)
-        # Sort keys pack two fields into one uint64: (source, target) for the
-        # out-view and (target, out-edge index) for the in-view, each field
-        # as wide as its largest value needs.
+        # The sort key packs (source, target) into one uint64, each field as
+        # wide as the largest node id needs.
         node_bits = max(n - 1, 0).bit_length()
-        edge_bits = max(m - 1, 0).bit_length()
-        if 2 * node_bits > 64 or node_bits + edge_bits > 64:
-            raise GraphError(
-                f"{n} nodes and {m} edges: the packed sort keys need "
-                f"{max(2 * node_bits, node_bits + edge_bits)} bits, more than 64"
-            )
+        if 2 * node_bits > 64:
+            raise GraphError(f"{n} nodes: the packed sort keys need {2 * node_bits} bits, more than 64")
         if m and (src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n):
             raise GraphError("edge endpoint outside [0, node_count)")
         if original_ids is None:
@@ -89,8 +82,6 @@ class Graph:
         self.edge_count = m
         self.out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self.out_indptr[1:])
-        self.in_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=n), out=self.in_indptr[1:])
 
         # Out-view: one argsort of (source, target) packed into 64-bit keys.
         # Sorted keys are sorted pairs, so the first repeat is the smallest
@@ -108,17 +99,6 @@ class Graph:
                 raise GraphError(f"duplicate edge {int(original_ids[u])}->{int(original_ids[v])}")
         key &= np.uint64((1 << node_bits) - 1)
         self.out_dst = key.astype(idx_dtype)
-
-        # In-view: a stable argsort of the sorted targets, done as one sort of
-        # (target, out-edge index) keys; a sort of plain keys costs a fraction
-        # of an argsort.
-        key <<= np.uint64(edge_bits)
-        key |= np.arange(m, dtype=np.uint64)
-        key.sort()
-        key &= np.uint64((1 << edge_bits) - 1)
-        in_order = key.view(np.int64)
-        self.out_to_in = np.empty(m, dtype=np.int32 if m <= np.iinfo(np.int32).max else np.int64)
-        self.out_to_in[in_order] = np.arange(m, dtype=self.out_to_in.dtype)
         self.original_ids = original_ids
 
     def out_edges(self, u):
@@ -130,7 +110,7 @@ class Graph:
         return np.diff(self.out_indptr)
 
     def in_degrees(self):
-        return np.diff(self.in_indptr)
+        return np.bincount(self.out_dst, minlength=self.node_count)
 
     def to_internal(self, original):
         """Map an array of original node ids to internal ids.
@@ -156,8 +136,6 @@ class Graph:
         g.out_indptr = self.out_indptr
         g.out_dst = self.out_dst
         g.out_prob = out_prob
-        g.in_indptr = self.in_indptr
-        g.out_to_in = self.out_to_in
         g.original_ids = self.original_ids
         return g
 

@@ -12,28 +12,29 @@ loop can probe many candidates and commit only the winner. A report
 remembers the state it was computed against and that state's version
 stamp, and `commit` refuses any other.
 
-An evaluation updates the candidate's out-neighbors' one-hop survival by
-one factor (cascade) or one subtracted weight (threshold), then recomputes
-the two-hop survival of every node those one-hop changes reach directly
-from its incoming edges. No survival is ever divided out: q1 changes by at
-most one factor or weight per seed and q2 is always the closed form of q1,
+An evaluation lowers the one-hop survival q1 of the candidate u (to 0) and
+of its non-seed out-neighbors ws (by one factor under the cascade model,
+one subtracted weight under the threshold model). q1 only falls as seeds
+are added, so the one-hop transmissions p * (1 - q1[c]) that change are
+exactly those of the out-edges of C = {u} + ws, and the two-hop survival
+q2 of each of their targets is updated from those edges alone. With
+f = 1 - p * (1 - q1[c]) before and after:
+
+- cascade: q2'[t] = q2[t] * prod f_new / f_old over C's edges into t. An
+  edge with f_old = 0 has already made q2[t] exactly 0, and it stays 0.
+- threshold: q2'[t] = max(q2[t] - sum p * (q1[c] - q1'[c]), 0), which is
+  the clipped closed form whether or not q2[t] was clipped before.
+
+So an evaluation costs the out-edges of C, grouped by target with one
+sort, and writes only arrays it allocated. The state has no per-edge
+array. Each update moves q1 and q2 by one rounding step per changed edge,
 so the state stays within rounding of the closed form of its seed set and
 needs no periodic recomputation.
-
-For two hops the state also keeps, per incoming edge e (indexed like the
-incoming view), its one-hop transmission x1[e] = p_e * (1 - q1[source of
-e]), a function of q1 (8 bytes per edge). The recomputation gathers x1 over
-the reached nodes' incoming rows, one contiguous run per node, and places
-the would-be transmissions of the out-edges of the candidate and its
-out-neighbors at their slots in that gather (found through
-`Graph.out_to_in`). So an evaluation costs one read per gathered incoming
-edge plus the size of its neighborhood, and writes only arrays it
-allocated; a commit writes the candidate's new transmissions into x1.
 
 `gain_bound` is a cheaper two-hop stand-in for `eval_gain` when only an
 upper bound is needed: it reads the candidate's out-row and each
 out-neighbor's total out-probability (kept per node in the state), so it
-costs O(out-degree) where an evaluation reads every reached incoming row.
+costs O(out-degree) where an evaluation reads every out-row of C.
 """
 
 from __future__ import annotations
@@ -64,12 +65,9 @@ class GainReport:
         "q1_values",
         "q2_nodes",
         "q2_values",
-        "x1_edges",
-        "x1_values",
     )
 
-    def __init__(self, state, candidate, gain, q1_nodes, q1_values, q2_nodes=None, q2_values=None,
-                 x1_edges=None, x1_values=None):
+    def __init__(self, state, candidate, gain, q1_nodes, q1_values, q2_nodes=None, q2_values=None):
         self.state = state
         self.candidate = candidate
         self.gain = gain
@@ -78,8 +76,6 @@ class GainReport:
         self.q1_values = q1_values
         self.q2_nodes = q2_nodes
         self.q2_values = q2_values
-        self.x1_edges = x1_edges
-        self.x1_values = x1_values
 
 
 class HopState:
@@ -87,9 +83,8 @@ class HopState:
 
     q1[v] = P[v not active within one hop], q2[v] likewise for two hops
     (only present when hops == 2). Seeds hold q = 0. With two hops,
-    x1[out_to_in[e]] = out_prob[e] * (1 - q1[source of e]) is out-edge e's
-    one-hop transmission, stored in incoming-view order, and out_weight[v]
-    the sum of v's out-edge probabilities, read by `gain_bound`. `sigma` tracks the running
+    out_weight[v] is the sum of v's out-edge probabilities, read by
+    `gain_bound`. Every array is per node. `sigma` tracks the running
     hop-limited spread.
     """
 
@@ -101,7 +96,6 @@ class HopState:
         "seeds",
         "q1",
         "q2",
-        "x1",
         "out_weight",
         "sigma",
         "version",
@@ -116,7 +110,6 @@ class HopState:
         self.seeds = []
         self.q1 = np.ones(n)
         self.q2 = np.ones(n) if hops == 2 else None
-        self.x1 = np.zeros(graph.edge_count) if hops == 2 else None
         self.out_weight = segment_sum(graph.out_prob, graph.out_indptr) if hops == 2 else None
         self.sigma = 0.0
         self.version = 0
@@ -189,32 +182,37 @@ def eval_gain(state, u):
         gain = q1[u] + (q1w - q1w_new).sum()
         return GainReport(s, u, max(float(gain), 0.0), q1_nodes, q1_values)
 
-    # Only C = {u} + ws change one-hop survival, so only out(C) can change
-    # two-hop survival; recompute those from all their incoming edges. In
-    # incoming-edge order, C's out-edges are grouped by target, ascending.
+    # Only the out-edges of C = {u} + ws change their transmission; each
+    # reached target's q2 takes the product (IC) or sum (LT) of its edges'
+    # changes, grouped by target.
     c_edges, c_seg = gather_rows(g.out_indptr, q1_nodes)
-    c_in = g.out_to_in[c_edges]
-    order = np.argsort(c_in)
-    c_in = c_in[order]
-    c_edges = c_edges[order]
+    counts = np.diff(c_seg)
+    p = g.out_prob[c_edges]
+    q1_old = np.repeat(q1[q1_nodes], counts)
+    q1_new = np.repeat(q1_values, counts)
+    if s.model == "ic":
+        f_old = 1.0 - p * (1.0 - q1_old)
+        change = np.divide(1.0 - p * (1.0 - q1_new), f_old, out=np.zeros_like(f_old), where=f_old > 0.0)
+    else:
+        change = p * (q1_old - q1_new)
     c_dst = g.out_dst[c_edges]
-    c_x1 = g.out_prob[c_edges] * (1.0 - np.repeat(q1_values, np.diff(c_seg))[order])
+    order = np.argsort(c_dst)
+    c_dst = c_dst[order]
     first = np.ones(len(c_dst), dtype=bool)
     first[1:] = c_dst[1:] != c_dst[:-1]
-    reach = c_dst[first]
-    edges, seg = gather_rows(g.in_indptr, reach)
-    # Edges from outside C keep the state's transmission; each out-edge of C
-    # takes its would-be value at its offset in its target's segment.
-    x1 = s.x1[edges]
-    x1[c_in - g.in_indptr[c_dst] + seg[np.cumsum(first) - 1]] = c_x1
+    starts = np.flatnonzero(first)
+    reach = c_dst[starts]
     live = ~s.seed_mask[reach] & (reach != u)
     t = reach[live]
-    t_values = _survival(s.model, x1, seg[:-1])[live]
     q2 = s.q2
+    if s.model == "ic":
+        t_values = q2[t] * np.multiply.reduceat(change[order], starts)[live]
+    else:
+        t_values = np.maximum(q2[t] - np.add.reduceat(change[order], starts)[live], 0.0)
     gain = q2[u] + (q2[t] - t_values).sum()
     q2_nodes = np.concatenate(([u], t))
     q2_values = np.concatenate(([0.0], t_values))
-    return GainReport(s, u, max(float(gain), 0.0), q1_nodes, q1_values, q2_nodes, q2_values, c_in, c_x1)
+    return GainReport(s, u, max(float(gain), 0.0), q1_nodes, q1_values, q2_nodes, q2_values)
 
 
 def commit(state, report):
@@ -232,7 +230,6 @@ def commit(state, report):
     state.q1[report.q1_nodes] = report.q1_values
     if state.hops == 2:
         state.q2[report.q2_nodes] = report.q2_values
-        state.x1[report.x1_edges] = report.x1_values
     state.seed_mask[u] = True
     state.seeds.append(u)
     state.sigma += report.gain
@@ -244,11 +241,3 @@ def spread(state):
     """Current hop-limited spread (sum of activation probabilities)."""
     return state.sigma
 
-
-def _survival(model, x1, starts):
-    """Survival of each reached node from the gathered one-hop transmissions
-    `x1` of its incoming edges, a copy that is overwritten. Every reached
-    node has an in-edge from C, so no segment is empty."""
-    if model == "ic":
-        return np.multiply.reduceat(np.subtract(1.0, x1, out=x1), starts)
-    return np.maximum(1.0 - np.add.reduceat(x1, starts), 0.0)

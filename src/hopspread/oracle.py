@@ -199,13 +199,17 @@ def _outcome_chunks(g, model):
                 raise ValueError("instance too large for enumeration: choice space exceeds limit")
         strides = np.ones(n, dtype=np.int64)
         np.cumprod(indeg[:-1] + 1, out=strides[1:])
-        slot = g.out_to_in - g.in_indptr[g.out_dst]
-        in_prob = np.empty(m)
-        in_prob[g.out_to_in] = g.out_prob
+        # In-edges grouped by target in ascending-source order; an edge's slot
+        # is its rank among its target's in-edges.
+        in_order = np.argsort(g.out_dst, kind="stable")
+        in_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(indeg, out=in_indptr[1:])
+        slot = np.empty(m, dtype=np.int64)
+        slot[in_order] = np.arange(m) - in_indptr[g.out_dst[in_order]]
         none_p = np.clip(1.0 - np.bincount(g.out_dst, weights=g.out_prob, minlength=n), 0.0, 1.0)
         # Node v's choices: its in-edges in order, then none, from offset in_indptr[v] + v.
-        choice_p = np.insert(in_prob, g.in_indptr[1:], none_p)
-        first = (g.in_indptr[:-1] + np.arange(n))[:, None]
+        choice_p = np.insert(g.out_prob[in_order], in_indptr[1:], none_p)
+        first = (in_indptr[:-1] + np.arange(n))[:, None]
         for lo in range(0, space, _ENUM_CHUNK):
             outcomes = np.arange(lo, min(lo + _ENUM_CHUNK, space), dtype=np.int64)
             choice = (outcomes // strides[:, None]) % (indeg + 1)[:, None]

@@ -99,7 +99,8 @@ def reference_activation(g, seeds, hops, model="ic"):
         elif model == "ic":
             pi1[v] = 1.0 - np.prod(1.0 - ps[smask[srcs]])
         else:
-            pi1[v] = ps[smask[srcs]].sum()
+            # In-weights may sum to 1 + LT_WEIGHT_TOLERANCE; activation is a probability.
+            pi1[v] = min(ps[smask[srcs]].sum(), 1.0)
     if hops == 1:
         return pi1
     pi2 = np.empty(n)
@@ -110,7 +111,7 @@ def reference_activation(g, seeds, hops, model="ic"):
         elif model == "ic":
             pi2[v] = 1.0 - np.prod(1.0 - ps * pi1[srcs])
         else:
-            pi2[v] = (ps * pi1[srcs]).sum()
+            pi2[v] = min((ps * pi1[srcs]).sum(), 1.0)
     return pi2
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_ic_graph
+from conftest import random_ic_graph, random_lt_graph
 from hopspread import graph as graph_module
 from hopspread.generate import power_law_graph
 from hopspread.graph import (
@@ -17,6 +17,8 @@ from hopspread.graph import (
     load_edge_list,
     validate_lt,
 )
+from hopspread.hop_estimator import HopState, init_state
+from hopspread.oracle import _outcome_chunks
 
 
 class TestLoadEdgeList:
@@ -350,49 +352,43 @@ class TestGraphConstruction:
 
     def test_builder_rejects_node_count_beyond_packed_key(self):
         # Raised before any array of node_count + 1 entries is allocated.
-        with pytest.raises(GraphError, match=r"4294967297 nodes and 0 edges: .* need 66 bits, more than 64"):
+        with pytest.raises(GraphError, match=r"4294967297 nodes: .* need 66 bits, more than 64"):
             Graph((1 << 32) + 1, [], [], [])
 
-    def test_transpose_consistency_random(self):
+    def test_in_degrees_and_lt_slots_match_brute_force(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
-            g = random_ic_graph(rng, n_max=12, m_max=30)
-            out_edges = set()
-            for u in range(g.node_count):
-                nbrs, ps = g.out_edges(u)
-                out_edges.update((u, int(v), float(p)) for v, p in zip(nbrs, ps))
-            # Each in-view row, read back through the inverse of out_to_in.
-            in_to_out = np.argsort(g.out_to_in)
-            out_src = np.repeat(np.arange(g.node_count), g.out_degrees())
-            in_edges = set()
-            for v in range(g.node_count):
-                es = in_to_out[g.in_indptr[v] : g.in_indptr[v + 1]]
-                in_edges.update((int(out_src[e]), v, float(g.out_prob[e])) for e in es)
-            assert out_edges == in_edges
-
-    def test_out_to_in_maps_each_out_edge_to_its_in_edge(self):
-        rng = np.random.default_rng(12)
-        for i in range(40):
-            g = random_ic_graph(rng, n_max=12, m_max=30)
-            if i % 2:
-                g = apply_weight_model(g, WeightModel("trivalency", rng_seed=i))
-            out_src = np.repeat(np.arange(g.node_count), g.out_degrees())
-            in_dst = np.repeat(np.arange(g.node_count), g.in_degrees())
-            assert np.array_equal(np.sort(g.out_to_in), np.arange(g.edge_count))
-            # Each out-edge lands in its target's in-view row ...
-            assert np.array_equal(in_dst[g.out_to_in], g.out_dst)
-            # ... and each row lists its sources in ascending order.
-            in_src = np.empty(g.edge_count, dtype=np.int64)
-            in_src[g.out_to_in] = out_src
-            for v in range(g.node_count):
-                assert (np.diff(in_src[g.in_indptr[v] : g.in_indptr[v + 1]]) > 0).all()
+            g = random_lt_graph(rng, n_max=7, m_max=10)
+            n = g.node_count
+            in_srcs = [[] for _ in range(n)]
+            for u in range(n):
+                for v in g.out_edges(u)[0]:
+                    in_srcs[int(v)].append(u)
+            assert g.in_degrees().tolist() == [len(srcs) for srcs in in_srcs]
+            # The LT enumerator numbers outcomes in mixed radix (node 0 lowest);
+            # node v's digit picks its in-edge by ascending source, or none.
+            out_src = np.repeat(np.arange(n), g.out_degrees())
+            rank = [sorted(in_srcs[int(v)]).index(int(u)) for u, v in zip(out_src, g.out_dst)]
+            live = np.concatenate([chunk[3] for chunk in _outcome_chunks(g, "lt")], axis=1)
+            radix = [len(srcs) + 1 for srcs in in_srcs]
+            for o in range(live.shape[1]):
+                digit, rest = [], o
+                for r in radix:
+                    digit.append(rest % r)
+                    rest //= r
+                assert live[:, o].tolist() == [digit[int(v)] == k for v, k in zip(g.out_dst, rank)]
 
     def test_footprint_stores_each_edge_once(self):
         g = power_law_graph(10_000, 100_000, rng_seed=3)
         n, m = g.node_count, g.edge_count
         total = sum(getattr(g, s).nbytes for s in Graph.__slots__ if isinstance(getattr(g, s), np.ndarray))
-        # out_dst, out_prob and out_to_in per edge; two indptrs and original_ids per node.
-        assert total <= 16 * m + 24 * (n + 1)
+        # out_dst (int32) and out_prob per edge; out_indptr and original_ids per node.
+        assert total <= 12 * m + 16 * (n + 1)
+        # A two-hop state holds per-node arrays only: q1, q2, out_weight and the seed mask.
+        s = init_state(g, "ic", 2)
+        arrays = [getattr(s, a) for a in HopState.__slots__ if isinstance(getattr(s, a), np.ndarray)]
+        assert len(arrays) == 4 and all(len(a) == n for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 25 * n
 
 
 class TestWeightModels:

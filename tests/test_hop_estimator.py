@@ -18,7 +18,7 @@ from conftest import (
 )
 from hopspread import hop_estimator
 from hopspread.bounds import upper_bounds
-from hopspread.graph import Graph, GraphError
+from hopspread.graph import LT_WEIGHT_TOLERANCE, Graph, GraphError, validate_lt
 from hopspread.hop_estimator import BOUND_SLACK, StaleReportError, commit, eval_gain, gain_bound, init_state, spread
 from hopspread.oracle import exact_spread
 
@@ -100,17 +100,15 @@ class TestStateContracts:
 
         def snapshot(state):
             q2 = None if state.q2 is None else state.q2.copy()
-            x1 = None if state.x1 is None else state.x1.copy()
-            return state.q1.copy(), q2, x1, state.seed_mask.copy(), state.sigma, state.version
+            return state.q1.copy(), q2, state.seed_mask.copy(), state.sigma, state.version
 
         def assert_unchanged(state, snap):
-            q1, q2, x1, mask, sigma, version = snap
+            q1, q2, mask, sigma, version = snap
             assert np.array_equal(state.q1, q1) and np.array_equal(state.seed_mask, mask)
             assert q2 is None if state.q2 is None else np.array_equal(state.q2, q2)
-            assert x1 is None if state.x1 is None else np.array_equal(state.x1, x1)
             assert state.sigma == sigma and state.version == version
 
-        def failing_reduction(*args):
+        def failing_gather(*args):
             raise RuntimeError("injected")
 
         rng = np.random.default_rng(31)
@@ -130,7 +128,7 @@ class TestStateContracts:
                         eval_gain(s, bad)
                 if hops == 2:
                     with monkeypatch.context() as mp:
-                        mp.setattr(hop_estimator, "_survival", failing_reduction)
+                        mp.setattr(hop_estimator, "gather_rows", failing_gather)
                         for v in np.flatnonzero(~s.seed_mask):
                             with pytest.raises(RuntimeError, match="injected"):
                                 eval_gain(s, int(v))
@@ -335,7 +333,7 @@ class TestStateIsItsSeedSet:
         s = init_state(g, model, hops)
         for v in rng.permutation(g.node_count)[:20]:
             commit(s, eval_gain(s, int(v)))
-        for arr in (s.q1, s.q2, s.x1, s.seed_mask):
+        for arr in (s.q1, s.q2, s.seed_mask):
             if arr is not None:
                 arr.flags.writeable = False
         sigma, version = s.sigma, s.version
@@ -360,11 +358,99 @@ class TestStateIsItsSeedSet:
             ref = reference_activation(g, order[: i + 1], hops, model)
             assert np.abs(s.activation() - ref).max() < 1e-12
             assert abs(spread(s) - ref.sum()) < 1e-12 * n
-            if hops == 2:
-                # The per-edge transmission is the closed form of q1, bit for bit.
-                x1 = np.empty(g.edge_count)
-                x1[g.out_to_in] = g.out_prob * (1.0 - s.q1[np.repeat(np.arange(n), g.out_degrees())])
-                assert s.x1.tobytes() == x1.tobytes()
+
+
+class TestAdversarialDrift:
+    """Running q2 updates against the seed-set reference where they are most
+    fragile: long products near underflow, factors that are exactly 0, and
+    LT in-sums at the admissibility limit."""
+
+    @staticmethod
+    def assert_tracks_reference(g, model, seeds):
+        """Commit `seeds` one at a time against the reference; return the
+        final state and each seed's q1 just before its commit."""
+        s = init_state(g, model, 2)
+        q1_before = []
+        for i, u in enumerate(seeds):
+            q1_before.append(s.q1[u])
+            commit(s, eval_gain(s, u))
+            ref = reference_activation(g, seeds[: i + 1], 2, model)
+            assert np.abs(s.activation() - ref).max() < 1e-12
+            assert abs(spread(s) - ref.sum()) < 1e-12 * g.node_count
+        return s, q1_before
+
+    @staticmethod
+    def hub_graph(rng, mids=2000, sources=10, fanout=400):
+        """Hub 0 with an in-edge from each of `mids` middle nodes, which the
+        sources reach with probability near 1."""
+        mid = np.arange(1, mids + 1)
+        src = [mid]
+        dst = [np.zeros(mids, dtype=np.int64)]
+        prob = [rng.uniform(0.3, 0.6, mids)]
+        for j in range(sources):
+            src.append(np.full(fanout, mids + 1 + j))
+            dst.append(rng.choice(mid, size=fanout, replace=False))
+            prob.append(rng.uniform(0.9, 1.0, fanout))
+        return Graph(mids + 1 + sources, np.concatenate(src), np.concatenate(dst), np.concatenate(prob))
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_hub_with_thousands_of_in_edges(self, model):
+        rng = np.random.default_rng(61)
+        g = self.hub_graph(rng)
+        if model == "lt":
+            g = lt_admissible(g)
+        n = g.node_count
+        seeds = list(range(n - 10, n)) + [int(v) for v in rng.choice(np.arange(1, n - 10), size=10, replace=False)]
+        s, _ = self.assert_tracks_reference(g, model, seeds)
+        if model == "ic":
+            # The hub's two-hop survival has run past the normal range.
+            assert s.q2[0] < np.finfo(float).tiny
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_probability_one_chains_and_cycles(self, model):
+        rng = np.random.default_rng(62)
+        forced = {(u, u + 1) for u in range(11)}  # chain 0 -> ... -> 11
+        forced |= {(12 + i, 12 + (i + 1) % 6) for i in range(6)}  # 6-cycle
+        forced |= {(18, 19), (19, 18), (11, 12), (17, 0)}
+        pairs = set(forced)
+        while len(pairs) < len(forced) + 40:
+            u, v = (int(x) for x in rng.integers(0, 24, 2))
+            if u != v:
+                pairs.add((u, v))
+        edges = sorted(pairs)
+        prob = rng.random(len(edges))
+        prob[[e in forced for e in edges]] = 1.0
+        g = Graph(24, [u for u, _ in edges], [v for _, v in edges], prob)
+        if model == "lt":
+            g = lt_admissible(g)
+        zero_factors = 0
+        for order_seed in range(6):
+            seeds = [int(v) for v in np.random.default_rng(order_seed).permutation(24)[:20]]
+            _, q1_before = self.assert_tracks_reference(g, model, seeds)
+            # A seed already certain to be active with a probability-1 out-edge: f_old = 0.
+            zero_factors += sum(q == 0.0 and (g.out_edges(u)[1] == 1.0).any() for u, q in zip(seeds, q1_before))
+        assert zero_factors > 0
+
+    def test_lt_in_sums_at_the_admissibility_limit(self):
+        rng = np.random.default_rng(63)
+        g = random_graph_with_cycles(rng, n=80, p_one_frac=0.0)
+        limit = 1.0 + LT_WEIGHT_TOLERANCE
+        dst = g.out_dst
+        p = g.out_prob / np.bincount(dst, weights=g.out_prob, minlength=g.node_count)[dst] * limit
+        # Each node's last in-edge (highest source) takes the remainder, so
+        # the in-sum bincount adds up lands on the limit exactly.
+        last = np.zeros(g.node_count, dtype=np.int64)
+        last[dst] = np.arange(g.edge_count)
+        head = np.ones(g.edge_count, dtype=bool)
+        head[last[np.bincount(dst, minlength=g.node_count) > 0]] = False
+        rest = np.bincount(dst[head], weights=p[head], minlength=g.node_count)
+        p[~head] = limit - rest[dst[~head]]
+        g = g._with_probs(p)
+        sums = np.bincount(dst, weights=p, minlength=g.node_count)
+        assert validate_lt(g) == [] and (sums == limit).sum() > g.node_count // 2
+        for order_seed in range(3):
+            seeds = [int(v) for v in np.random.default_rng(order_seed).permutation(g.node_count)[:40]]
+            self.assert_tracks_reference(g, "lt", seeds)
 
 
 class TestGainBound:
