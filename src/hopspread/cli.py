@@ -149,10 +149,19 @@ def cmd_select(args):
 
 def _read_seeds_file(path):
     """Seed ids from a JSON list, a JSON object with a "seeds" list, or whitespace-separated text."""
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # Lines as `splitlines` counts them below, through the bad byte.
+        line = len((raw[: e.start].decode("utf-8") + "x").splitlines())
+        raise GraphError(f"seed file {path}, line {line}: byte 0x{raw[e.start]:02x} is not UTF-8") from None
     if text.lstrip().startswith(("{", "[")):
-        seeds = json.loads(text)
+        try:
+            seeds = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise GraphError(f"seed file {path}: line {e.lineno} column {e.colno}: {e.msg}") from None
         if isinstance(seeds, dict):
             seeds = seeds.get("seeds")
         if not isinstance(seeds, list):

@@ -7,6 +7,13 @@ reads edges by target, so there is no incoming view; in-degrees are
 counted from the targets. Node ids are densified to 0..n-1;
 `original_ids` maps internal ids back to the ids seen in the input so
 results can be reported in the caller's id space.
+
+`load_edge_list` reads text edge lists. A "u v" file (SNAP's format) is
+read by one C integer scan (`np.fromstring`) after a leading '#' header,
+once a vectorised gate has proved, window by window, that the scan reads
+what the line loop reads. A "u v p" file is read by `np.loadtxt`. Any input
+that fails its parser's gate, and every malformed input, goes to the line
+loop `_parse_lines`, the reference that names the first bad line.
 """
 
 from __future__ import annotations
@@ -200,10 +207,11 @@ def load_edge_list(source, num_nodes=None):
     dense and the graph is padded with isolated nodes up to that count;
     otherwise the distinct ids that appear are densified in sorted order.
 
-    The whole buffer is parsed in C when it is UTF-8 with non-ASCII bytes
-    only on comment lines, has one column count and passes every check.
-    Any other input goes through the line loop, which names the first bad
-    line or accepts the valid inputs the fast path leaves to it.
+    Most inputs are parsed in C (see `_parse_buffer`): "u v" files by one
+    integer scan, "u v p" files by `np.loadtxt`. Any other input goes
+    through the line loop, which names the first bad line or accepts the
+    valid inputs the C parsers leave to it. The raw buffer and the raw ids
+    are released as soon as the next step no longer needs them.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
@@ -218,6 +226,7 @@ def load_edge_list(source, num_nodes=None):
                 pass  # a lone surrogate: the line loop names its line
     edges = _parse_buffer(data)
     src, dst, prob = edges if edges is not None else _parse_lines(data)
+    del data, edges
 
     if num_nodes is not None:
         n = int(num_nodes)
@@ -227,15 +236,22 @@ def load_edge_list(source, num_nodes=None):
 
     # Ids below the number read fit a presence table no larger than the
     # concatenated ids; sparse ids (up to 2^63 - 1) take a sort instead.
+    # Rebinding src and dst frees the raw ids before the build.
     top = int(max(src.max(), dst.max())) if len(src) else -1
     if 0 <= top < len(src) + len(dst):
         present = np.zeros(top + 1, dtype=bool)
         present[src] = True
         present[dst] = True
+        ids = np.flatnonzero(present)
         rank = np.cumsum(present) - 1
-        return Graph(int(rank[-1]) + 1, rank[src], rank[dst], prob, original_ids=np.flatnonzero(present))
-    ids = sorted_unique(np.concatenate([src, dst]))
-    return Graph(len(ids), np.searchsorted(ids, src), np.searchsorted(ids, dst), prob, original_ids=ids)
+        src = rank[src]
+        dst = rank[dst]
+        del present, rank
+    else:
+        ids = sorted_unique(np.concatenate([src, dst]))
+        src = np.searchsorted(ids, src)
+        dst = np.searchsorted(ids, dst)
+    return Graph(len(ids), src, dst, prob, original_ids=ids)
 
 
 _FIRST_DATA_LINE = re.compile(rb"^[^\S\n]*[^\s#][^\n]*", re.MULTILINE)
@@ -243,18 +259,27 @@ _EDGE_FIELDS = [("u", np.int64), ("v", np.int64), ("p", np.float64)]
 
 
 def _parse_buffer(data):
-    """(src, dst, prob) of an edge list parsed by `np.loadtxt`, or None.
+    """(src, dst, prob) of an edge list parsed in C, or None.
 
-    None means the line loop must decide: the input is text with a lone
-    surrogate, holds a non-ASCII byte off a comment line (numpy's integer
-    parser reads some non-ASCII letters as digits) or is not UTF-8, a '#'
-    follows data on its line (loadtxt would drop it as a comment), the
-    column count varies, or a value fails a check the loop applies. On
-    ASCII data lines, loadtxt splits lines and fields like
-    `bytes.split(b"\\n")` and `str.split()` and accepts a subset of what
-    `int()` and `float()` accept, with equal values.
+    The first data line's field count picks the parser. A "u v" file is
+    read by `_scan_pairs`, one integer scan after a leading '#' header, and
+    a "u v p" file by `np.loadtxt`. None means the line loop must decide:
+    the input is text with a lone surrogate, fails a gate of its parser, or
+    has a value that fails a check the loop applies.
+
+    `np.loadtxt` runs only when the input is UTF-8 with non-ASCII bytes
+    only on comment lines and '#' only at the start of lines (loadtxt
+    would drop a trailing '#' as a comment). On ASCII data lines, loadtxt
+    splits lines and fields like `bytes.split(b"\\n")` and `str.split()` and
+    accepts a subset of what `int()` and `float()` accept, with equal values.
     """
-    if isinstance(data, str) or not _comments_lead_their_lines(data):
+    if isinstance(data, str):
+        return None
+    first = _FIRST_DATA_LINE.search(data)
+    columns = len(first.group().split()) if first else 0
+    if columns == 2:
+        return _scan_pairs(data, first.start())
+    if columns != 3 or not _comments_lead_their_lines(data):
         return None
     if not data.isascii():
         if not _non_ascii_only_in_comments(data):
@@ -263,23 +288,96 @@ def _parse_buffer(data):
             data.decode("utf-8")
         except UnicodeDecodeError:
             return None
-    first = _FIRST_DATA_LINE.search(data)
-    columns = len(first.group().decode().split()) if first else 0
-    if columns not in (2, 3):
-        return None
     try:
         # numpy 1.23-1.x parses a non-integer id such as "1.0" or "2.7" as a
         # float, truncates it and only warns; int() rejects it.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(io.BytesIO(data), dtype=_EDGE_FIELDS[:columns], comments="#", ndmin=1)
+            rows = np.loadtxt(io.BytesIO(data), dtype=_EDGE_FIELDS, comments="#", ndmin=1)
     except (ValueError, DeprecationWarning):
         return None
-    src, dst = rows["u"], rows["v"]
-    prob = rows["p"] if columns == 3 else np.zeros(len(rows))
+    src, dst, prob = rows["u"], rows["v"], rows["p"]
     if (src < 0).any() or (dst < 0).any() or (src == dst).any() or not ((prob >= 0.0) & (prob <= 1.0)).all():
         return None
     return src, dst, prob
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+_SCAN_BYTES = b"0123456789+\t\n\v\f\r "
+_WINDOW = 1 << 20
+
+
+def _scan_pairs(data, start):
+    """(src, dst, zeros) of the "u v" lines in data[start:], or None.
+
+    data[:start] is the header: blank and '#' lines, which must be UTF-8.
+    The rest is read in windows of about `_WINDOW` bytes of whole lines, so
+    that no check holds a transient of the whole buffer. Each window must
+    pass `_pair_tokens`; then `np.fromstring` reads exactly the tokens that
+    `str.split()` gives the line loop, with the values `int()` gives. The
+    scan saturates a value beyond 2^63 - 1 at 2^63 - 1, so that value goes
+    to the line loop too.
+    """
+    if not data[:start].isascii():
+        try:
+            data[:start].decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    windows = []
+    while start < len(data):
+        end = data.find(b"\n", start + _WINDOW) + 1 or len(data)
+        count = _pair_tokens(data[start:end])
+        if count is None:
+            return None
+        windows.append((start, end, count))
+        start = end
+    tokens = np.empty(sum(count for _, _, count in windows), dtype=np.int64)
+    at = 0
+    for start, end, count in windows:
+        tokens[at : at + count] = np.fromstring(data[start:end], dtype=np.int64, count=count, sep=" ")
+        at += count
+    src, dst = tokens[0::2], tokens[1::2]
+    if (tokens == _INT64_MAX).any() or (src == dst).any():
+        return None
+    return src, dst, np.zeros(len(src))
+
+
+def _pair_tokens(window):
+    """How many tokens `window` (whole lines) holds if `np.fromstring` reads
+    them as the line loop reads "u v" lines, else None.
+
+    That holds when the window has only ASCII digits, '+' and the blanks of
+    `_SCAN_BYTES`, every '+' starts a token and precedes a digit, and every
+    line is blank or holds two tokens. The scan reads a bare sign as 0 and
+    stops at a blank `str.split()` knows but C does not, such as '\\x1c'.
+    """
+    # Fast proof for lines "<digits><sep><digits>\n" with one separator
+    # byte: the non-digit bytes repeat sep + "\n", and no two blanks touch.
+    rest = window.translate(None, b"0123456789")
+    sep = rest[:1]
+    if sep in (b" ", b"\t") and window.endswith(b"\n") and rest == (sep + b"\n") * (len(rest) // 2):
+        blank = np.frombuffer(window, dtype=np.uint8) < 0x30
+        if not blank[0] and not (blank[1:] & blank[:-1]).any():
+            return len(rest)
+    if window.translate(None, _SCAN_BYTES):
+        return None
+    b = np.frombuffer(window, dtype=np.uint8)
+    token = b > 0x20  # a digit or '+'
+    if b"+" in window:
+        plus = np.flatnonzero(b == 0x2B)
+        if plus[-1] + 1 == len(b) or (b[plus + 1] < 0x30).any() or token[plus[plus > 0] - 1].any():
+            return None
+    # Token starts and line ends in order; count the starts on each line.
+    starts = np.empty_like(token)
+    starts[0] = token[0]
+    np.greater(token[1:], token[:-1], out=starts[1:])
+    newline = b == 0x0A
+    is_end = newline[np.flatnonzero(starts | newline)]
+    ends = np.flatnonzero(is_end)
+    per_line = np.diff(ends, prepend=-1, append=len(is_end)) - 1
+    if not ((per_line == 0) | (per_line == 2)).all():
+        return None
+    return len(is_end) - len(ends)
 
 
 def _comments_lead_their_lines(data):

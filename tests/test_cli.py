@@ -218,6 +218,25 @@ class TestEvaluate:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xff1\n", ", line 1: byte 0xff is not UTF-8"),
+            (b"10\r\n20 \xc3\x28\n", ", line 2: byte 0xc3 is not UTF-8"),
+            (b"[10,\n \xfe]", ", line 2: byte 0xfe is not UTF-8"),
+            (b"[10, ", ": line 1 column 6: Expecting value"),
+            (b'{"seeds": [10],\n', ": line 2 column 1: Expecting property name enclosed in double quotes"),
+            (b"[10] 20", ": line 1 column 6: Extra data"),
+        ],
+    )
+    def test_undecodable_seed_file_names_the_file(self, chain_file, tmp_path, capsys, data, message):
+        seeds = tmp_path / "bad-seeds"
+        seeds.write_bytes(data)
+        assert main(["evaluate", "--graph", chain_file, "--seeds-file", str(seeds)]) == 2
+        err = capsys.readouterr().err
+        assert f"hopspread: error: seed file {seeds}{message}" in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("[1.5, true]", "entry 0: invalid seed id 1.5"),

@@ -1,6 +1,7 @@
 """Edge-list parsing, weight models, and graph invariants."""
 
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -102,12 +103,13 @@ class TestLoadEdgeList:
 # Mutations of an edge list's lines (bytes without line endings): each one
 # gives input that the loader must either accept or reject with a message.
 MUTATIONS = ["comment", "inline-comment", "blank", "odd-id", "odd-prob", "drop-prob", "add-prob", "one-field",
-             "four-fields", "duplicate", "self-loop", "not-utf8", "utf8-comment", "separator", "lone-cr", "empty"]
-ODD_IDS = [b"+5", b"1_0", b"-1", b"-0", b"007", b"4294967296", b"4294967297",
-           b"9223372036854775807", b"9223372036854775808", b"x", b"\xef\xbc\x91",
-           b"1.0", b"1e3", b"-0.5", b"2.7", b"nan", b"inf"]
+             "four-fields", "three-then-one", "duplicate", "self-loop", "not-utf8", "utf8-comment", "separator",
+             "lone-cr", "empty"]
+ODD_IDS = [b"+5", b"1_0", b"-1", b"-0", b"007", b"0000000000000000001", b"4294967296", b"4294967297",
+           b"9223372036854775807", b"9223372036854775808", b"12345678901234567890", b"-9223372036854775809",
+           b"+", b"++5", b"5+", b"x", b"\xef\xbc\x91", b"1.0", b"1e3", b"-0.5", b"2.7", b"nan", b"inf"]
 ODD_PROBS = [b"nan", b"inf", b"-inf", b"1.5", b"-0.1", b".5", b"-0.0", b"1e-3", b"1", b"0_5", b"p"]
-ODD_SEPARATORS = [b"\t", b"\x0c", b"\xc2\xa0", b"\x1c", b" \t "]
+ODD_SEPARATORS = [b"\t", b"\x0b", b"\x0c", b"\xc2\xa0", b"\x1c", b" \t "]
 
 
 def mutate(rng, lines, kind):
@@ -141,6 +143,9 @@ def mutate(rng, lines, kind):
         lines.insert(at, b"7")
     elif kind == "four-fields":
         lines.insert(at, b"7 8 0.5 1")
+    elif kind == "three-then-one":
+        # Four tokens on two lines: right in total, wrong on each line.
+        lines[at:at] = [b"7 8 9", b"10"]
     elif kind == "duplicate" and lines:
         lines.append(pick(lines))
     elif kind == "self-loop":
@@ -198,31 +203,70 @@ def _load_outcome(source, num_nodes):
     return _outcome(lambda: load_edge_list(source, num_nodes=num_nodes))
 
 
+def _differential_fuzz(rng, cases, tmp_path, monkeypatch):
+    """Load fuzzed edge lists with and without the C parsers; count the outcomes."""
+    kinds = {"fast": 0, "loop-accepts": 0, "error": 0}
+    path = tmp_path / "edges.txt"
+    for case in range(cases):
+        data, num_nodes = fuzz_edge_list(rng, MUTATIONS[case % len(MUTATIONS)])
+        path.write_bytes(data)
+        sources = [
+            lambda: data,
+            lambda: io.BytesIO(data),
+            lambda: str(path),
+            lambda: io.StringIO(data.decode("utf-8", "surrogateescape")),
+        ]
+        source = sources[case % len(sources)]
+        got = _load_outcome(source(), num_nodes)
+        with monkeypatch.context() as m:
+            m.setattr(graph_module, "_parse_buffer", lambda data: None)
+            want = _load_outcome(source(), num_nodes)
+        assert got == want, (data, num_nodes)
+        if got[0] == "error":
+            kinds["error"] += 1
+        else:
+            kinds["fast" if graph_module._parse_buffer(data) is not None else "loop-accepts"] += 1
+    return kinds
+
+
 class TestFastParseMatchesLineLoop:
     def test_differential_fuzz(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(20261018)
-        kinds = {"fast": 0, "loop-accepts": 0, "error": 0}
-        path = tmp_path / "edges.txt"
-        for case in range(600):
-            data, num_nodes = fuzz_edge_list(rng, MUTATIONS[case % len(MUTATIONS)])
-            path.write_bytes(data)
-            sources = [
-                lambda: data,
-                lambda: io.BytesIO(data),
-                lambda: str(path),
-                lambda: io.StringIO(data.decode("utf-8", "surrogateescape")),
-            ]
-            source = sources[case % len(sources)]
-            got = _load_outcome(source(), num_nodes)
-            with monkeypatch.context() as m:
-                m.setattr(graph_module, "_parse_buffer", lambda data: None)
-                want = _load_outcome(source(), num_nodes)
-            assert got == want, (data, num_nodes)
-            if got[0] == "error":
-                kinds["error"] += 1
-            else:
-                kinds["fast" if graph_module._parse_buffer(data) is not None else "loop-accepts"] += 1
+        kinds = _differential_fuzz(np.random.default_rng(20261018), 600, tmp_path, monkeypatch)
         assert min(kinds.values()) >= 50, kinds
+
+    @pytest.mark.parametrize("window", [0, 3, 16])
+    def test_differential_fuzz_across_windows(self, tmp_path, monkeypatch, window):
+        # Windows of a line or two put every gate check next to a boundary.
+        monkeypatch.setattr(graph_module, "_WINDOW", window)
+        kinds = _differential_fuzz(np.random.default_rng(window), 300, tmp_path, monkeypatch)
+        assert min(kinds.values()) >= 25, kinds
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"+ 5\n", b"5 +\n", b"- 6\n", b"++5 6\n", b"5+ 6\n", b"5 6+7\n", b"1 2 3\n4\n", b"1\n2 3 4\n",
+         b"1 2\n3\n", b"1 2\r3 4\n", b"1\x1c2\n", b"1 9223372036854775807\n", b"1 9223372036854775808\n",
+         b"1 99999999999999999999\n", b"-9223372036854775809 1\n", b"0 1\n# mid-file\n1 2\n", b"7 7\n"],
+    )
+    def test_scan_quirks_go_to_the_line_loop(self, monkeypatch, text):
+        # np.fromstring reads each of these differently from the line loop,
+        # or the loop must name the line.
+        assert graph_module._parse_buffer(text) is None
+        got = _load_outcome(text, None)
+        monkeypatch.setattr(graph_module, "_parse_buffer", lambda data: None)
+        assert got == _load_outcome(text, None)
+
+    def test_two_column_inputs_never_reach_loadtxt(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("loadtxt ran")
+
+        monkeypatch.setattr(graph_module.np, "loadtxt", must_not_run)
+        for text in (b"0 1\n1 2\n", b"0\t1\n+5 2\n", b"# graph by M\xc3\xbcller\n0 1\n1 2\n", b"0 1\r\n\n 1  2 \r\n",
+                     b"\n# a\n  # b\n0\x0b1\n1\x0c2", b"0000000000000000001 2\n2 9223372036854775806\n"):
+            assert graph_module._parse_buffer(text) is not None, text
+        # Windows of whole lines, here one line each, keep the scan.
+        monkeypatch.setattr(graph_module, "_WINDOW", 4)
+        src, dst, _ = graph_module._parse_buffer(b"# h\n" + b"".join(b"%d  %d\n" % (i, i + 1) for i in range(20)))
+        assert list(src) == list(range(20)) and list(dst) == list(range(1, 21))
 
     def test_fast_path_takes_clean_inputs(self):
         for text in (b"0 1\n1 2\n", b"# h\n  # i\n0 1 0.5\r\n\n1 2 1e-1 \n", b"0\t1\n+5 2\n",
@@ -330,6 +374,28 @@ class TestDensify:
         data = _edge_bytes([(0, 4), (4, 1)])
         want = _outcome(lambda: Graph(7, [0, 4], [4, 1], [0.5, 0.5]))
         assert _load_outcome(data, 7) == want
+
+
+class TestLoadMemory:
+    def test_traced_peak_per_edge(self, tmp_path):
+        # The buffer, the raw ids and the parse transients must be freed
+        # before the CSR build, whose sort key, order and sorted key set the
+        # peak at about 50 B/edge. Keeping the buffer (~11 B/edge here) or
+        # the raw ids (16 B/edge) alive through the build breaks the bound.
+        m = 200_000
+        u = np.arange(m) // 10
+        v = (u + 1 + 37 * (np.arange(m) % 10)) % 20_000
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist())))
+        load_edge_list(path)
+        tracemalloc.start()
+        try:
+            g = load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == m
+        assert peak / m < 56, f"{peak / m:.1f} B/edge"
 
 
 class TestGraphConstruction:
