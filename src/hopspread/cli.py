@@ -151,11 +151,13 @@ def _read_seeds_file(path):
     """Seed ids from a JSON list, a JSON object with a "seeds" list, or whitespace-separated text."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    # Lines end at "\n", "\r\n" or "\r", as text mode reads them; every
+    # message below counts lines by the "\n" left after this.
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
-        # Lines as `splitlines` counts them below, through the bad byte.
-        line = len((raw[: e.start].decode("utf-8") + "x").splitlines())
+        line = raw.count(b"\n", 0, e.start) + 1
         raise GraphError(f"seed file {path}, line {line}: byte 0x{raw[e.start]:02x} is not UTF-8") from None
     if text.lstrip().startswith(("{", "[")):
         try:
@@ -168,7 +170,7 @@ def _read_seeds_file(path):
             raise GraphError(f"seed file {path}: expected a JSON list of ids or an object with a 'seeds' list")
         items = [(f"entry {i}", v) for i, v in enumerate(seeds)]
     else:
-        items = [(f"line {n}", tok) for n, line in enumerate(text.splitlines(), 1) for tok in line.split()]
+        items = [(f"line {n}", tok) for n, line in enumerate(text.split("\n"), 1) for tok in line.split()]
     ids = []
     for where, value in items:
         try:

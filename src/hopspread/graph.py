@@ -8,12 +8,12 @@ counted from the targets. Node ids are densified to 0..n-1;
 `original_ids` maps internal ids back to the ids seen in the input so
 results can be reported in the caller's id space.
 
-`load_edge_list` reads text edge lists. A "u v" file (SNAP's format) is
-read by one C integer scan (`np.fromstring`) after a leading '#' header,
-once a vectorised gate has proved, window by window, that the scan reads
-what the line loop reads. A "u v p" file is read by `np.loadtxt`. Any input
-that fails its parser's gate, and every malformed input, goes to the line
-loop `_parse_lines`, the reference that names the first bad line.
+`load_edge_list` reads text edge lists. A "u v" file (SNAP's format)
+whose data lines are all digits, one space or tab, digits is read by one C
+integer scan (`np.fromstring`) after a leading '#' header. Any other input
+is read by `np.loadtxt` once its gates pass. The rest, and every malformed
+input, goes to the line loop `_parse_lines`, the reference that names the
+first bad line.
 """
 
 from __future__ import annotations
@@ -207,8 +207,8 @@ def load_edge_list(source, num_nodes=None):
     dense and the graph is padded with isolated nodes up to that count;
     otherwise the distinct ids that appear are densified in sorted order.
 
-    Most inputs are parsed in C (see `_parse_buffer`): "u v" files by one
-    integer scan, "u v p" files by `np.loadtxt`. Any other input goes
+    Most inputs are parsed in C (see `_parse_buffer`): plain "u v" files by
+    one integer scan, the others by `np.loadtxt`. Any other input goes
     through the line loop, which names the first bad line or accepts the
     valid inputs the C parsers leave to it. The raw buffer and the raw ids
     are released as soon as the next step no longer needs them.
@@ -261,25 +261,35 @@ _EDGE_FIELDS = [("u", np.int64), ("v", np.int64), ("p", np.float64)]
 def _parse_buffer(data):
     """(src, dst, prob) of an edge list parsed in C, or None.
 
-    The first data line's field count picks the parser. A "u v" file is
-    read by `_scan_pairs`, one integer scan after a leading '#' header, and
-    a "u v p" file by `np.loadtxt`. None means the line loop must decide:
-    the input is text with a lone surrogate, fails a gate of its parser, or
-    has a value that fails a check the loop applies.
-
-    `np.loadtxt` runs only when the input is UTF-8 with non-ASCII bytes
-    only on comment lines and '#' only at the start of lines (loadtxt
-    would drop a trailing '#' as a comment). On ASCII data lines, loadtxt
-    splits lines and fields like `bytes.split(b"\\n")` and `str.split()` and
-    accepts a subset of what `int()` and `float()` accept, with equal values.
+    A "u v" file (SNAP's format) whose data lines are all digits, one
+    separator byte and digits is read by `_scan_pairs`, one integer scan
+    after a leading '#' header. Any other input, and a "u v" file the scan
+    leaves, goes to `_load_table` (`np.loadtxt`). None means the line loop
+    must decide.
     """
     if isinstance(data, str):
         return None
     first = _FIRST_DATA_LINE.search(data)
-    columns = len(first.group().split()) if first else 0
-    if columns == 2:
-        return _scan_pairs(data, first.start())
-    if columns != 3 or not _comments_lead_their_lines(data):
+    if first and len(first.group().split()) == 2:
+        edges = _scan_pairs(data, first.start())
+        if edges is not None:
+            return edges
+    return _load_table(data, first)
+
+
+def _load_table(data, first):
+    """(src, dst, prob) of an edge list parsed by `np.loadtxt`, or None.
+
+    `first` is the first data line's match. None means the line loop must
+    decide: the input holds a non-ASCII byte off a comment line (numpy's
+    integer parser reads some non-ASCII letters as digits) or is not UTF-8,
+    a '#' follows data on its line (loadtxt would drop it as a comment), the
+    column count varies, or a value fails a check the loop applies. On
+    ASCII data lines, loadtxt splits lines and fields like
+    `bytes.split(b"\\n")` and `str.split()` and accepts a subset of what
+    `int()` and `float()` accept, with equal values.
+    """
+    if not _comments_lead_their_lines(data):
         return None
     if not data.isascii():
         if not _non_ascii_only_in_comments(data):
@@ -288,22 +298,25 @@ def _parse_buffer(data):
             data.decode("utf-8")
         except UnicodeDecodeError:
             return None
+    columns = len(first.group().decode().split()) if first else 0
+    if columns not in (2, 3):
+        return None
     try:
         # numpy 1.23-1.x parses a non-integer id such as "1.0" or "2.7" as a
         # float, truncates it and only warns; int() rejects it.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(io.BytesIO(data), dtype=_EDGE_FIELDS, comments="#", ndmin=1)
+            rows = np.loadtxt(io.BytesIO(data), dtype=_EDGE_FIELDS[:columns], comments="#", ndmin=1)
     except (ValueError, DeprecationWarning):
         return None
-    src, dst, prob = rows["u"], rows["v"], rows["p"]
+    src, dst = rows["u"], rows["v"]
+    prob = rows["p"] if columns == 3 else np.zeros(len(rows))
     if (src < 0).any() or (dst < 0).any() or (src == dst).any() or not ((prob >= 0.0) & (prob <= 1.0)).all():
         return None
     return src, dst, prob
 
 
 _INT64_MAX = np.iinfo(np.int64).max
-_SCAN_BYTES = b"0123456789+\t\n\v\f\r "
 _WINDOW = 1 << 20
 
 
@@ -315,8 +328,8 @@ def _scan_pairs(data, start):
     that no check holds a transient of the whole buffer. Each window must
     pass `_pair_tokens`; then `np.fromstring` reads exactly the tokens that
     `str.split()` gives the line loop, with the values `int()` gives. The
-    scan saturates a value beyond 2^63 - 1 at 2^63 - 1, so that value goes
-    to the line loop too.
+    scan saturates a value beyond 2^63 - 1 at 2^63 - 1, so a file holding
+    that value is left to `np.loadtxt`, as is a self-loop.
     """
     if not data[:start].isascii():
         try:
@@ -343,41 +356,20 @@ def _scan_pairs(data, start):
 
 
 def _pair_tokens(window):
-    """How many tokens `window` (whole lines) holds if `np.fromstring` reads
-    them as the line loop reads "u v" lines, else None.
+    """How many ids `window` holds if its lines are all "<digits>" sep
+    "<digits>\\n", with sep one ' ' or one tab throughout, else None.
 
-    That holds when the window has only ASCII digits, '+' and the blanks of
-    `_SCAN_BYTES`, every '+' starts a token and precedes a digit, and every
-    line is blank or holds two tokens. The scan reads a bare sign as 0 and
-    stops at a blank `str.split()` knows but C does not, such as '\\x1c'.
+    That holds when the non-digit bytes repeat sep + "\\n", no two of them
+    touch and the window starts with a digit and ends with "\\n".
     """
-    # Fast proof for lines "<digits><sep><digits>\n" with one separator
-    # byte: the non-digit bytes repeat sep + "\n", and no two blanks touch.
     rest = window.translate(None, b"0123456789")
     sep = rest[:1]
-    if sep in (b" ", b"\t") and window.endswith(b"\n") and rest == (sep + b"\n") * (len(rest) // 2):
-        blank = np.frombuffer(window, dtype=np.uint8) < 0x30
-        if not blank[0] and not (blank[1:] & blank[:-1]).any():
-            return len(rest)
-    if window.translate(None, _SCAN_BYTES):
+    if sep not in (b" ", b"\t") or not window.endswith(b"\n") or rest != (sep + b"\n") * (len(rest) // 2):
         return None
-    b = np.frombuffer(window, dtype=np.uint8)
-    token = b > 0x20  # a digit or '+'
-    if b"+" in window:
-        plus = np.flatnonzero(b == 0x2B)
-        if plus[-1] + 1 == len(b) or (b[plus + 1] < 0x30).any() or token[plus[plus > 0] - 1].any():
-            return None
-    # Token starts and line ends in order; count the starts on each line.
-    starts = np.empty_like(token)
-    starts[0] = token[0]
-    np.greater(token[1:], token[:-1], out=starts[1:])
-    newline = b == 0x0A
-    is_end = newline[np.flatnonzero(starts | newline)]
-    ends = np.flatnonzero(is_end)
-    per_line = np.diff(ends, prepend=-1, append=len(is_end)) - 1
-    if not ((per_line == 0) | (per_line == 2)).all():
+    blank = np.frombuffer(window, dtype=np.uint8) < 0x30
+    if blank[0] or (blank[1:] & blank[:-1]).any():
         return None
-    return len(is_end) - len(ends)
+    return len(rest)
 
 
 def _comments_lead_their_lines(data):

@@ -209,6 +209,8 @@ class TestEvaluate:
             ('{"seeds": 5}', "expected a JSON list of ids"),
             ("10\nx\n", "line 2: invalid seed id 'x'"),
             ("10\n99999999999999999999\n", "line 2: invalid seed id 99999999999999999999"),
+            ("10\x0c20\rx\n", "line 2: invalid seed id 'x'"),
+            ("[10,\r 20,]", "line 2 column 5: Expecting value"),
         ],
     )
     def test_malformed_seed_file_is_data_error(self, chain_file, tmp_path, capsys, text, message):
@@ -223,6 +225,8 @@ class TestEvaluate:
             (b"\xff1\n", ", line 1: byte 0xff is not UTF-8"),
             (b"10\r\n20 \xc3\x28\n", ", line 2: byte 0xc3 is not UTF-8"),
             (b"[10,\n \xfe]", ", line 2: byte 0xfe is not UTF-8"),
+            (b"[10,\x0c 20,\n \xfe]", ", line 2: byte 0xfe is not UTF-8"),
+            (b"10\r20\x0c\xfe\n", ", line 2: byte 0xfe is not UTF-8"),
             (b"[10, ", ": line 1 column 6: Expecting value"),
             (b'{"seeds": [10],\n', ": line 2 column 1: Expecting property name enclosed in double quotes"),
             (b"[10] 20", ": line 1 column 6: Extra data"),

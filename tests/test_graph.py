@@ -243,29 +243,39 @@ class TestFastParseMatchesLineLoop:
 
     @pytest.mark.parametrize(
         "text",
-        [b"+ 5\n", b"5 +\n", b"- 6\n", b"++5 6\n", b"5+ 6\n", b"5 6+7\n", b"1 2 3\n4\n", b"1\n2 3 4\n",
-         b"1 2\n3\n", b"1 2\r3 4\n", b"1\x1c2\n", b"1 9223372036854775807\n", b"1 9223372036854775808\n",
-         b"1 99999999999999999999\n", b"-9223372036854775809 1\n", b"0 1\n# mid-file\n1 2\n", b"7 7\n"],
+        [b"+ 5\n", b"5 +\n", b"- 6\n", b"+5 6\n", b"1 2 3\n4\n", b"1\n2 3 4\n", b"1 2\n3\n", b"1 2\r3 4\n",
+         b"1\x1c2\n", b"1 2\r\n", b"1  2\n", b"1 2\n3\t4\n", b"1 2\n\n3 4\n", b"1 2", b"1 9223372036854775807\n",
+         b"1 9223372036854775808\n", b"1 99999999999999999999\n", b"0 1\n# mid-file\n1 2\n", b"7 7\n",
+         b"1 \n 2\n", b" 12\n3 4\n"],
     )
-    def test_scan_quirks_go_to_the_line_loop(self, monkeypatch, text):
-        # np.fromstring reads each of these differently from the line loop,
-        # or the loop must name the line.
-        assert graph_module._parse_buffer(text) is None
+    def test_scan_leaves_other_inputs_to_loadtxt_or_the_loop(self, monkeypatch, text):
+        # np.fromstring would misread some of these, and the others are not
+        # plain "<digits> <digits>" lines; each must match the line loop.
+        assert graph_module._scan_pairs(text, 0) is None
         got = _load_outcome(text, None)
         monkeypatch.setattr(graph_module, "_parse_buffer", lambda data: None)
         assert got == _load_outcome(text, None)
 
-    def test_two_column_inputs_never_reach_loadtxt(self, monkeypatch):
+    def test_a_window_may_not_start_with_a_blank(self, monkeypatch):
+        # One line per window: the "\n " pair straddles two windows.
+        monkeypatch.setattr(graph_module, "_WINDOW", 0)
+        text = b"0 1\n 12\n3 4\n"
+        assert graph_module._scan_pairs(text, 0) is None
+        got = _load_outcome(text, None)
+        monkeypatch.setattr(graph_module, "_parse_buffer", lambda data: None)
+        assert got == _load_outcome(text, None)
+
+    def test_plain_two_column_inputs_never_reach_loadtxt(self, monkeypatch):
         def must_not_run(*args, **kwargs):
             raise AssertionError("loadtxt ran")
 
         monkeypatch.setattr(graph_module.np, "loadtxt", must_not_run)
-        for text in (b"0 1\n1 2\n", b"0\t1\n+5 2\n", b"# graph by M\xc3\xbcller\n0 1\n1 2\n", b"0 1\r\n\n 1  2 \r\n",
-                     b"\n# a\n  # b\n0\x0b1\n1\x0c2", b"0000000000000000001 2\n2 9223372036854775806\n"):
+        for text in (b"0 1\n1 2\n", b"0\t1\n5\t2\n", b"# graph by M\xc3\xbcller\n0 1\n1 2\n",
+                     b"\n# a\n  # b\n0 1\n1 2\n", b"0000000000000000001 2\n2 9223372036854775806\n"):
             assert graph_module._parse_buffer(text) is not None, text
         # Windows of whole lines, here one line each, keep the scan.
         monkeypatch.setattr(graph_module, "_WINDOW", 4)
-        src, dst, _ = graph_module._parse_buffer(b"# h\n" + b"".join(b"%d  %d\n" % (i, i + 1) for i in range(20)))
+        src, dst, _ = graph_module._parse_buffer(b"# h\n" + b"".join(b"%d %d\n" % (i, i + 1) for i in range(20)))
         assert list(src) == list(range(20)) and list(dst) == list(range(1, 21))
 
     def test_fast_path_takes_clean_inputs(self):
