@@ -10,6 +10,13 @@ most one live incoming edge, chosen with its weight as probability. Both
 models share one outcome generator and one reachability kernel, which ORs
 per-node bitsets along live edges one hop per level: `exact_spread` starts
 it from one bit at each seed, `ExactSpreadTable` from bit u at each node u.
+
+Monte-Carlo stream contract: simulation i runs on sub-stream i
+(`PCG64(rng_seed).jumped(i)`), whatever the worker count. A threshold
+simulation first draws all n thresholds; a cascade simulation then draws
+one coin per examined edge, in (level, ascending frontier node, CSR edge)
+order, and each level's frontier is sorted and unique. Threshold sums are
+accumulated in that same order, so every count is fixed by the seed.
 """
 
 from __future__ import annotations
@@ -39,7 +46,12 @@ class SpreadEstimate:
 
 
 def _check_seeds(g, seeds):
-    seed_ids = np.unique(np.asarray(list(seeds), dtype=np.int64))
+    """Sorted unique int64 ids; anything but an integer within int64 is an error, not cast."""
+    ids = [s.item() if isinstance(s, np.generic) else s for s in seeds]
+    for s in ids:
+        if isinstance(s, bool) or not isinstance(s, int) or not -(2**63) <= s < 2**63:
+            raise GraphError(f"invalid seed id {s!r}")
+    seed_ids = np.unique(np.array(ids, dtype=np.int64))
     bad = seed_ids[(seed_ids < 0) | (seed_ids >= g.node_count)]
     if len(bad):
         raise GraphError(f"invalid seed id {int(bad[0])}")
@@ -51,12 +63,20 @@ def _check_hop_limit(hop_limit):
         raise ValueError(f"hop_limit must be >= 0, got {hop_limit}")
 
 
-def _cascade(g, seed_ids, model, hop_limit, rng, record_levels=False):
-    """One diffusion sample, activated level by level.
+def _out_rows(g, nodes):
+    """Flat out-edge positions of `nodes`, in order, and their probabilities."""
+    pos = gather_rows(g.out_indptr, nodes)[0]
+    return pos, g.out_prob.take(pos)
+
+
+def _cascade(g, seed_ids, model, hop_limit, rng, seed_rows):
+    """One diffusion sample, activated level by level; returns the cumulative
+    active count after each level, seeds first.
 
     Cascade model: each live-edge coin is flipped at most once. Threshold
     model: thresholds are drawn once, and a node activates when the weight
-    of its active in-neighbours reaches its threshold.
+    of its active in-neighbours reaches its threshold. `seed_rows` is
+    `_out_rows(g, seed_ids)`, the level-0 edges of every sample.
     """
     n = g.node_count
     if model == "lt":
@@ -68,29 +88,27 @@ def _cascade(g, seed_ids, model, hop_limit, rng, record_levels=False):
     active = np.zeros(n, dtype=bool)
     active[seed_ids] = True
     frontier = seed_ids
+    pos, prob = seed_rows
     levels = [len(seed_ids)]
     hops = 0
     while len(frontier) and (hop_limit is None or hops < hop_limit):
-        pos = gather_rows(g.out_indptr, frontier)[0]
+        if hops:
+            pos, prob = _out_rows(g, frontier)
         if len(pos) == 0:
             break
         if model == "ic":
-            pos = pos[rng.random(len(pos)) < g.out_prob[pos]]
-            hit = g.out_dst[pos]
-            frontier = sorted_unique(hit[~active[hit]])
+            hit = g.out_dst.take(pos.take(np.flatnonzero(rng.random(len(pos)) < prob)))
+            fresh = np.compress(~active.take(hit), hit)
         else:
-            targets = g.out_dst[pos]
-            np.add.at(acc, targets, g.out_prob[pos])
-            cand = sorted_unique(targets)
-            cand = cand[~active[cand]]
-            frontier = cand[acc[cand] >= theta[cand]]
+            targets = g.out_dst.take(pos)
+            np.add.at(acc, targets, prob)
+            crossed = ~active.take(targets) & (acc.take(targets) >= theta.take(targets))
+            fresh = np.compress(crossed, targets)
+        frontier = sorted_unique(fresh)
         active[frontier] = True
         hops += 1
-        if record_levels:
-            levels.append(levels[-1] + len(frontier))
-    if record_levels:
-        return levels
-    return int(active.sum())
+        levels.append(levels[-1] + len(frontier))
+    return levels
 
 
 def simulate_once(g, seeds, model="ic", hop_limit=None, rng=None):
@@ -99,15 +117,15 @@ def simulate_once(g, seeds, model="ic", hop_limit=None, rng=None):
     seed_ids = _check_seeds(g, seeds)
     if rng is None:
         rng = np.random.default_rng()
-    return _cascade(g, seed_ids, model, hop_limit, rng)
+    return _cascade(g, seed_ids, model, hop_limit, rng, _out_rows(g, seed_ids))[-1]
 
 
 def _sim_chunk(g, seed_ids, model, hop_limit, rng_seed, lo, hi):
+    """Level lists of simulations lo..hi-1; simulation i runs on sub-stream i."""
     base = np.random.PCG64(rng_seed)
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        out[i - lo] = _cascade(g, seed_ids, model, hop_limit, np.random.Generator(base.jumped(i)))
-    return out
+    seed_rows = _out_rows(g, seed_ids)
+    return [_cascade(g, seed_ids, model, hop_limit, np.random.Generator(base.jumped(i)), seed_rows)
+            for i in range(lo, hi)]
 
 
 def estimate_spread(g, seeds, model="ic", hop_limit=None, n_sims=10000, rng_seed=None, workers=1):
@@ -126,16 +144,16 @@ def estimate_spread(g, seeds, model="ic", hop_limit=None, n_sims=10000, rng_seed
     if rng_seed is None:
         rng_seed = int(np.random.SeedSequence().entropy) % (2**63)
     if workers <= 1:
-        counts = _sim_chunk(g, seed_ids, model, hop_limit, rng_seed, 0, n_sims)
+        parts = [_sim_chunk(g, seed_ids, model, hop_limit, rng_seed, 0, n_sims)]
     else:
         bounds = np.linspace(0, n_sims, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
+            parts = list(pool.map(
                 _sim_chunk,
                 *zip(*[(g, seed_ids, model, hop_limit, rng_seed, int(lo), int(hi))
                        for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]),
-            )
-            counts = np.concatenate(list(parts))
+            ))
+    counts = np.array([levels[-1] for part in parts for levels in part], dtype=float)
     mean = float(counts.mean())
     se = float(counts.std(ddof=1) / np.sqrt(n_sims)) if n_sims > 1 else 0.0
     return SpreadEstimate(mean=mean, simulations=n_sims, std_error=se, hop_limit=hop_limit)
@@ -153,11 +171,7 @@ def estimate_hop_profile(g, seeds, model="ic", n_sims=1000, rng_seed=None):
     seed_ids = _check_seeds(g, seeds)
     if rng_seed is None:
         rng_seed = int(np.random.SeedSequence().entropy) % (2**63)
-    base = np.random.PCG64(rng_seed)
-    profiles = []
-    for i in range(n_sims):
-        rng = np.random.Generator(base.jumped(i))
-        profiles.append(_cascade(g, seed_ids, model, None, rng, record_levels=True))
+    profiles = _sim_chunk(g, seed_ids, model, None, rng_seed, 0, n_sims)
     depth = max(len(p) for p in profiles)
     table = np.empty((n_sims, depth))
     for i, p in enumerate(profiles):

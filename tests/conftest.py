@@ -115,6 +115,47 @@ def reference_activation(g, seeds, hops, model="ic"):
     return pi2
 
 
+def reference_cascade(g, seed_ids, model, hop_limit, rng, record_levels=False):
+    """One Monte-Carlo cascade with boolean-mask filters and `np.unique`
+    dedup, level by level from the sorted unique `seed_ids`.
+
+    This is the stream the oracle must reproduce draw for draw: draws go to
+    edges in (level, ascending frontier node, CSR edge) order, and threshold
+    sums are accumulated in that same order.
+    """
+    n = g.node_count
+    if model == "lt":
+        theta = 1.0 - rng.random(n)
+        acc = np.zeros(n)
+    active = np.zeros(n, dtype=bool)
+    active[seed_ids] = True
+    frontier = seed_ids
+    levels = [len(seed_ids)]
+    hops = 0
+    while len(frontier) and (hop_limit is None or hops < hop_limit):
+        starts, ends = g.out_indptr[frontier], g.out_indptr[frontier + 1]
+        pos = np.concatenate([np.arange(a, b) for a, b in zip(starts, ends)] + [np.zeros(0, dtype=np.int64)])
+        if len(pos) == 0:
+            break
+        if model == "ic":
+            pos = pos[rng.random(len(pos)) < g.out_prob[pos]]
+            hit = g.out_dst[pos]
+            frontier = np.unique(hit[~active[hit]])
+        else:
+            targets = g.out_dst[pos]
+            np.add.at(acc, targets, g.out_prob[pos])
+            cand = np.unique(targets)
+            cand = cand[~active[cand]]
+            frontier = cand[acc[cand] >= theta[cand]]
+        active[frontier] = True
+        hops += 1
+        if record_levels:
+            levels.append(levels[-1] + len(frontier))
+    if record_levels:
+        return levels
+    return int(active.sum())
+
+
 @pytest.fixture
 def chain_graph():
     """0 -> 1 -> 2 with probability 0.5 on both edges."""

@@ -1,9 +1,11 @@
 """Simulation and enumeration oracles: trivial cases, self-consistency."""
 
+import re
+
 import numpy as np
 import pytest
 
-from conftest import random_ic_graph, random_lt_graph
+from conftest import random_ic_graph, random_lt_graph, reference_cascade
 from hopspread import oracle
 from hopspread.generate import power_law_graph
 from hopspread.graph import Graph, GraphError, WeightModel, apply_weight_model
@@ -50,6 +52,25 @@ class TestSimulateOnce:
     def test_invalid_seed_message_names_the_bad_id(self):
         with pytest.raises(GraphError, match="invalid seed id -1$"):
             simulate_once(certain_chain(), [-1, 2], "ic")
+
+    @pytest.mark.parametrize(
+        "seeds, shown",
+        [([0.9], "0.9"), ([True], "True"), (["1"], "'1'"), ([2**64], "18446744073709551616"),
+         ([-(2**63) - 1], "-9223372036854775809"), (np.array([1.0]), "1.0"), ([np.bool_(True)], "True")],
+        ids=["float", "bool", "str", "2^64", "below-int64", "float-array", "numpy-bool"],
+    )
+    def test_non_integer_seed_ids_are_rejected_not_cast(self, seeds, shown):
+        for call in (
+            lambda: simulate_once(certain_chain(), seeds, "ic"),
+            lambda: estimate_spread(certain_chain(), seeds, n_sims=2, rng_seed=1),
+            lambda: exact_spread(certain_chain(), seeds),
+        ):
+            with pytest.raises(GraphError, match=f"^invalid seed id {re.escape(shown)}$"):
+                call()
+
+    def test_integer_seed_ids_of_any_width_are_accepted(self):
+        for seeds in ([np.int32(0), 1], np.array([0, 1], dtype=np.uint8), np.array([1, 0], dtype=np.int64)):
+            assert estimate_spread(certain_chain(), seeds, n_sims=2, rng_seed=1).mean == 3.0
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
@@ -117,6 +138,57 @@ class TestEstimateSpread:
         fast = run()
         monkeypatch.setattr(oracle, "sorted_unique", np.unique)
         assert run() == fast
+
+
+def stream_graph():
+    return apply_weight_model(power_law_graph(2000, 10000, rng_seed=5), WeightModel("wc"))
+
+
+def reference_levels(g, seed_ids, model, hop_limit, rng_seed, sims):
+    base = np.random.PCG64(rng_seed)
+    return [reference_cascade(g, seed_ids, model, hop_limit, np.random.Generator(base.jumped(i)), True) for i in sims]
+
+
+class TestCascadeStream:
+    """Every simulation draws the reference cascade's stream, so its level
+    counts, not only the means, equal `reference_cascade`'s."""
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    @pytest.mark.parametrize("hop_limit", [0, 1, 2, None])
+    @pytest.mark.parametrize("seeds", ["hubs", "duplicates", "with-sinks", "sinks-only", "empty"])
+    def test_per_simulation_levels_match_reference(self, model, hop_limit, seeds):
+        g = stream_graph()
+        sinks = np.flatnonzero(g.out_degrees() == 0)
+        assert len(sinks) >= 2
+        seeds = {
+            "hubs": [0, 1, 2, 7],
+            "duplicates": [7, 0, 7, 1, 0],
+            "with-sinks": [int(sinks[0]), 3, int(sinks[1])],
+            "sinks-only": [int(sinks[1]), int(sinks[0])],
+            "empty": [],
+        }[seeds]
+        seed_ids = oracle._check_seeds(g, seeds)
+        want = reference_levels(g, seed_ids, model, hop_limit, 11, range(16))
+        assert oracle._sim_chunk(g, seed_ids, model, hop_limit, 11, 5, 16) == want[5:]
+        base = np.random.PCG64(11)
+        counts = [simulate_once(g, seeds, model, hop_limit, np.random.Generator(base.jumped(i))) for i in range(16)]
+        assert counts == [levels[-1] for levels in want]
+        assert counts == [
+            reference_cascade(g, seed_ids, model, hop_limit, np.random.Generator(base.jumped(i))) for i in range(16)
+        ]
+        est = estimate_spread(g, seeds, model, hop_limit, 16, rng_seed=11)
+        assert est.mean == np.array(counts, dtype=float).mean()
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_hop_profile_matches_reference(self, model):
+        g = stream_graph()
+        seeds = [7, 0, 7, 1, 2]
+        want = reference_levels(g, oracle._check_seeds(g, seeds), model, None, 13, range(25))
+        depth = max(map(len, want))
+        table = np.array([levels + levels[-1:] * (depth - len(levels)) for levels in want], dtype=float)
+        means, ses = estimate_hop_profile(g, seeds, model, n_sims=25, rng_seed=13)
+        assert means.tolist() == table.mean(axis=0).tolist()
+        assert ses.tolist() == (table.std(axis=0, ddof=1) / np.sqrt(25)).tolist()
 
 
 class TestHopProfile:
@@ -205,7 +277,7 @@ class TestSpreadTable:
 
     def test_invalid_seeds_are_graph_errors(self, chain_graph):
         table = ExactSpreadTable(chain_graph, "ic", None)
-        for seeds, bad in (([3], 3), ([-1], -1), ([0, 5], 5)):
+        for seeds, bad in (([3], 3), ([-1], -1), ([0, 5], 5), ([0.5], 0.5), ([False], False), ([2**64], 2**64)):
             with pytest.raises(GraphError, match=f"invalid seed id {bad}$"):
                 table.spread(seeds)
 
