@@ -29,7 +29,8 @@ def gather_rows(indptr, rows):
     counts = indptr[rows + 1] - starts
     seg = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(counts, out=seg[1:])
-    idx = np.repeat(starts - seg[:-1], counts) + np.arange(seg[-1])
+    idx = np.repeat(starts - seg[:-1], counts)
+    idx += np.arange(seg[-1])
     return idx, seg
 
 

@@ -146,6 +146,15 @@ class Graph:
         g.original_ids = self.original_ids
         return g
 
+    def __setstate__(self, state):
+        # Unpickled arrays carry dtype instances equal to, but not, numpy's
+        # canonical ones, and some ufunc loops (np.add.at) take a slow generic
+        # path on those; a view by scalar type restores the canonical dtype.
+        for name, value in state[1].items():
+            if isinstance(value, np.ndarray):
+                value = value.view(value.dtype.type)
+            setattr(self, name, value)
+
     def __repr__(self):
         return f"Graph(|V|={self.node_count}, |E|={self.edge_count})"
 

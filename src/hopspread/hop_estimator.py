@@ -26,10 +26,13 @@ f = 1 - p * (1 - q1[c]) before and after:
   the clipped closed form whether or not q2[t] was clipped before.
 
 So an evaluation costs the out-edges of C, grouped by target with one
-sort, and writes only arrays it allocated. The state has no per-edge
-array. Each update moves q1 and q2 by one rounding step per changed edge,
-so the state stays within rounding of the closed form of its seed set and
-needs no periodic recomputation.
+sort of uint64 keys that pack each edge's target above its index in C's
+edge list. The keys are unique, so each target's product or sum runs in
+ascending C-edge order on every platform and sort. An evaluation writes
+only arrays it allocated, and the state has no per-edge array. Each update
+moves q1 and q2 by one rounding step per changed edge, so the state stays
+within rounding of the closed form of its seed set and needs no periodic
+recomputation.
 
 `gain_bound` is a cheaper two-hop stand-in for `eval_gain` when only an
 upper bound is needed: it reads the candidate's out-row and each
@@ -187,28 +190,39 @@ def eval_gain(state, u):
     # changes, grouped by target.
     c_edges, c_seg = gather_rows(g.out_indptr, q1_nodes)
     counts = np.diff(c_seg)
-    p = g.out_prob[c_edges]
-    q1_old = np.repeat(q1[q1_nodes], counts)
-    q1_new = np.repeat(q1_values, counts)
+    p = g.out_prob.take(c_edges)
+    q1_old = np.concatenate(([q1[u]], q1w))
     if s.model == "ic":
-        f_old = 1.0 - p * (1.0 - q1_old)
-        change = np.divide(1.0 - p * (1.0 - q1_new), f_old, out=np.zeros_like(f_old), where=f_old > 0.0)
+        f_old = 1.0 - p * np.repeat(1.0 - q1_old, counts)
+        change = 1.0 - p * np.repeat(1.0 - q1_values, counts)
+        # f_old = 0 needs p = 1 and 1 - q1 rounding to 1; q1 only falls, so
+        # f_new is then 0 too, and the change stays 0 there.
+        np.divide(change, f_old, out=change, where=f_old > 0.0)
     else:
-        change = p * (q1_old - q1_new)
-    c_dst = g.out_dst[c_edges]
-    order = np.argsort(c_dst)
-    c_dst = c_dst[order]
+        change = p * np.repeat(q1_old - q1_values, counts)
+    # One sort of uint64 keys (target, C-edge index) groups the edges in
+    # C-edge order; 64 bits hold both while the node count and C's edge
+    # count are at most 2^32.
+    edge_bits = np.uint64(max(len(c_edges) - 1, 0).bit_length())
+    key = g.out_dst.take(c_edges).astype(np.uint64)
+    key <<= edge_bits
+    key |= np.arange(len(c_edges), dtype=np.uint64)
+    key.sort()
+    c_dst = (key >> edge_bits).view(np.int64)
+    key &= (np.uint64(1) << edge_bits) - np.uint64(1)
+    change = change.take(key.view(np.int64))
     first = np.ones(len(c_dst), dtype=bool)
-    first[1:] = c_dst[1:] != c_dst[:-1]
+    np.not_equal(c_dst[1:], c_dst[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    reach = c_dst[starts]
+    reach = c_dst.take(starts)
     live = ~s.seed_mask[reach] & (reach != u)
     t = reach[live]
     q2 = s.q2
     if s.model == "ic":
-        t_values = q2[t] * np.multiply.reduceat(change[order], starts)[live]
+        t_values = q2[t] * np.multiply.reduceat(change, starts)[live]
     else:
-        t_values = np.maximum(q2[t] - np.add.reduceat(change[order], starts)[live], 0.0)
+        # bincount adds in input order; add.reduceat sums a long group pairwise.
+        t_values = np.maximum(q2[t] - np.bincount(np.cumsum(first), weights=change)[1:][live], 0.0)
     gain = q2[u] + (q2[t] - t_values).sum()
     q2_nodes = np.concatenate(([u], t))
     q2_values = np.concatenate(([0.0], t_values))

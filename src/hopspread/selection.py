@@ -1,7 +1,7 @@
 """Seed selection: lazy greedy with optional upper-bound bootstrap, a naive
 full-evaluation greedy for cross-checking, and the degree heuristics.
 
-The lazy greedy keeps one max-heap of (-key, node, stamp) entries, where
+The lazy greedy pops (-key, node, stamp) entries smallest first, where
 stamp = 2 * round + exact, and each key is an upper bound on the node's
 current marginal gain. A key is one of three kinds:
 
@@ -16,10 +16,14 @@ current marginal gain. A key is one of three kinds:
 - this round's exact gain: since every other key bounds its node's gain, a
   pop is the round's best report, and it is committed as is.
 
-The heap starts from the closed-form single-seed bounds
+Round 0's keys are the closed-form single-seed bounds
 (`bootstrap="upper_bounds"`, valid under either diffusion model), which
-removes the full first pass, or from infinite bounds (`bootstrap="none"`),
-which evaluates every node once. Bounds carry the relative slack
+removes the full first pass, or infinite bounds (`bootstrap="none"`),
+which evaluates every node once. They are sorted once into pop order, a
+frontier walked by a pointer, and the heap holds only the frontier's head
+and the nodes already taken from it, re-keyed or evaluated. A heap pop is
+thus the tuple a heap of every node would pop, so the pop order, and with
+it every seed, gain and count, is unchanged. Bounds carry the relative slack
 `BOUND_SLACK`, so no two-hop key sits below the gain later computed from
 it, even by an ulp. A kept exact gain of an earlier round can, and on a
 1-ulp near-tie it would let the lazy greedy pick differently from
@@ -75,15 +79,18 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
         raise ValueError(f"unknown bootstrap {bootstrap!r}")
     t0 = time.perf_counter()
     state = init_state(g, model=model, hops=hops)
+    n = g.node_count
     if bootstrap == "none":
-        bounds = [math.inf] * g.node_count
+        neg = np.full(n, -math.inf)
     else:
         ub = upper_bounds(g, hops).values
-        bounds = (ub + BOUND_SLACK * np.maximum(ub, 1.0)).tolist()
-    # The largest key pops first, ties toward the smaller id; the bootstrap
-    # keys are round 0's bounds.
-    heap = [(-b, v, 0) for v, b in enumerate(bounds)]
-    heapq.heapify(heap)
+        neg = -(ub + BOUND_SLACK * np.maximum(ub, 1.0))
+    # The largest key pops first, ties toward the smaller id (the sort is
+    # stable). Taken nodes go back with stamps >= 1, so a popped stamp 0 is
+    # the frontier's head, whose successor then joins the heap.
+    order = np.argsort(neg, kind="stable")
+    heap = [(float(neg[order[0]]), int(order[0]), 0)]
+    taken = 1
     evaluations = 0
     bound_refreshes = 0
     best = None
@@ -91,6 +98,10 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
     gains = []
     while len(seeds) < k:
         _, node, stamp = heapq.heappop(heap)
+        if stamp == 0 and taken < n:
+            v = int(order[taken])
+            heapq.heappush(heap, (float(neg[v]), v, 0))
+            taken += 1
         now = 2 * len(seeds)
         if stamp == now + 1:
             # Every other key bounds its node's gain, so this round's exact

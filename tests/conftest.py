@@ -5,10 +5,17 @@ incremental estimator: they evaluate the per-node activation products/sums
 directly from the full seed set every time they are called.
 """
 
+import heapq
+import math
+import time
+
 import numpy as np
 import pytest
 
+from hopspread.bounds import upper_bounds
 from hopspread.graph import Graph
+from hopspread.hop_estimator import BOUND_SLACK, commit, eval_gain, gain_bound, init_state
+from hopspread.selection import SeedResult, _check_k
 
 
 def random_ic_graph(rng, n_max=8, m_max=12, p_one_frac=0.0, n_min=2):
@@ -154,6 +161,71 @@ def reference_cascade(g, seed_ids, model, hop_limit, rng, record_levels=False):
     if record_levels:
         return levels
     return int(active.sum())
+
+
+def reference_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
+    """`greedy_celf` as it was before the sorted frontier: every node starts
+    as a Python tuple in one all-node heap. The frontier must pop in the
+    same order, so it must give the same seeds, gains and counts.
+
+    Lazy greedy selection of k seeds under hop-limited influence.
+
+    bootstrap="upper_bounds" seeds the queue with the closed-form single-seed
+    bounds, under either model; bootstrap="none" starts every node at an
+    infinite bound, so each is evaluated once before the first pick. Both
+    return the same seed sequence.
+    """
+    _check_k(g, k)
+    if bootstrap not in ("upper_bounds", "none"):
+        raise ValueError(f"unknown bootstrap {bootstrap!r}")
+    t0 = time.perf_counter()
+    state = init_state(g, model=model, hops=hops)
+    if bootstrap == "none":
+        bounds = [math.inf] * g.node_count
+    else:
+        ub = upper_bounds(g, hops).values
+        bounds = (ub + BOUND_SLACK * np.maximum(ub, 1.0)).tolist()
+    # The largest key pops first, ties toward the smaller id; the bootstrap
+    # keys are round 0's bounds.
+    heap = [(-b, v, 0) for v, b in enumerate(bounds)]
+    heapq.heapify(heap)
+    evaluations = 0
+    bound_refreshes = 0
+    best = None
+    seeds = []
+    gains = []
+    while len(seeds) < k:
+        _, node, stamp = heapq.heappop(heap)
+        now = 2 * len(seeds)
+        if stamp == now + 1:
+            # Every other key bounds its node's gain, so this round's exact
+            # pop is the round's best report.
+            commit(state, best)
+            seeds.append(node)
+            gains.append(best.gain)
+            best = None
+        elif stamp < now and hops == 2:
+            heapq.heappush(heap, (-gain_bound(state, node), node, now))
+            bound_refreshes += 1
+        else:
+            report = eval_gain(state, node)
+            evaluations += 1
+            if best is None or (report.gain, -node) > (best.gain, -best.candidate):
+                best = report
+            heapq.heappush(heap, (-report.gain, node, now + 1))
+    elapsed = time.perf_counter() - t0
+    name = ("twohop" if hops == 2 else "onehop") + ("-o" if bootstrap == "none" else "")
+    return SeedResult(
+        seeds=seeds,
+        marginal_gains=gains,
+        algorithm=name,
+        elapsed=elapsed,
+        evaluations=evaluations,
+        spread=state.spread(),
+        hops=hops,
+        model=model,
+        bound_refreshes=bound_refreshes,
+    )
 
 
 @pytest.fixture

@@ -320,6 +320,88 @@ class TestLocalRecomputation:
                     assert r.gain == pytest.approx(after.sum() - before.sum(), abs=1e-12)
 
 
+def grouped_q2(state, report):
+    """Two-hop (q2_nodes, q2_values) of `report` by a Python loop over C's
+    out-edges in C-edge order (C = report.q1_nodes, each row in CSR order),
+    multiplying (IC) or adding (LT) each target's changes in that order.
+    Also returns the number of edges with f_old = 0 and the largest number
+    of C's edges into one target."""
+    g, s = state.graph, state
+    new_q1 = dict(zip(report.q1_nodes.tolist(), report.q1_values.tolist()))
+    acc = {}
+    group = {}
+    zero_f_old = 0
+    for c in report.q1_nodes.tolist():
+        old, new = float(s.q1[c]), new_q1[c]
+        for e in range(int(g.out_indptr[c]), int(g.out_indptr[c + 1])):
+            t, p = int(g.out_dst[e]), float(g.out_prob[e])
+            group[t] = group.get(t, 0) + 1
+            if s.model == "ic":
+                f_old = 1.0 - p * (1.0 - old)
+                zero_f_old += f_old == 0.0
+                change = (1.0 - p * (1.0 - new)) / f_old if f_old > 0.0 else 0.0
+                acc[t] = acc[t] * change if t in acc else change
+            else:
+                change = p * (old - new)
+                acc[t] = acc[t] + change if t in acc else change
+    u = report.candidate
+    targets = sorted(t for t in acc if not s.seed_mask[t] and t != u)
+    if s.model == "ic":
+        values = [float(s.q2[t]) * acc[t] for t in targets]
+    else:
+        values = [max(float(s.q2[t]) - acc[t], 0.0) for t in targets]
+    return [u] + targets, [0.0] + values, zero_f_old, max(group.values(), default=0)
+
+
+def hub_graph(rng, n=40):
+    """Random digraph with 2-cycles and probability-1 edges, two hub targets
+    that most nodes point to, and a few broadcasters whose out-neighbours
+    all reach the hubs, so one target collects up to ~20 of C's edges."""
+    pairs = {(int(a), int(b)) for a, b in rng.integers(0, n, (3 * n, 2)) if a != b}
+    for v in range(2, n):
+        pairs.add((v, 1))
+        if v % 3:
+            pairs.add((v, 0))
+    for b in (2, 3, 4):
+        pairs.update((b, int(w)) for w in rng.choice(np.arange(5, n), 20, replace=False))
+    for a, b in [(5, 6), (6, 5), (7, 8), (8, 7)]:
+        pairs.add((a, b))
+    chosen = sorted(pairs)
+    prob = rng.random(len(chosen))
+    prob[rng.random(len(chosen)) < 0.25] = 1.0
+    return Graph(n, [a for a, _ in chosen], [b for _, b in chosen], prob)
+
+
+class TestGroupingOrder:
+    """Two-hop q2 values are each target's product or sum in ascending C-edge
+    order, bit for bit, whatever order the sort leaves equal targets in."""
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_q2_values_match_ordered_loop(self, model):
+        rng = np.random.default_rng(505)
+        zero_f_old = 0
+        longest = 0
+        for _ in range(3):
+            g = hub_graph(rng)
+            if model == "lt":
+                g = lt_admissible(g)
+            s = init_state(g, model, 2)
+            for seeds in ([], [9, 5], [2, 11, 7, 13]):
+                for v in seeds:
+                    commit(s, eval_gain(s, v))
+                for u in np.flatnonzero(~s.seed_mask).tolist():
+                    r = eval_gain(s, u)
+                    nodes, values, zeros, group = grouped_q2(s, r)
+                    assert r.q2_nodes.tolist() == nodes
+                    assert r.q2_values.tolist() == values
+                    zero_f_old += zeros
+                    longest = max(longest, group)
+        # Hubs gather groups long enough for pairwise summation to differ
+        # from the ordered loop; IC meets edges with f_old = 0.
+        assert longest > 16
+        assert model == "lt" or zero_f_old > 0
+
+
 class TestStateIsItsSeedSet:
     """The state is a pure function of its seed set: probes never write, commits never drift."""
 

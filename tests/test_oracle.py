@@ -84,9 +84,10 @@ class TestEstimateSpread:
         assert a == b
 
     def test_workers_do_not_change_result(self, chain_graph):
-        a = estimate_spread(chain_graph, [0], "ic", None, 400, rng_seed=5, workers=1)
-        b = estimate_spread(chain_graph, [0], "ic", None, 400, rng_seed=5, workers=2)
-        assert a.mean == b.mean and a.std_error == b.std_error
+        for model in ("ic", "lt"):
+            a = estimate_spread(chain_graph, [0], model, None, 400, rng_seed=5, workers=1)
+            b = estimate_spread(chain_graph, [0], model, None, 400, rng_seed=5, workers=2)
+            assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_all_nodes_seeded(self, chain_graph):
         est = estimate_spread(chain_graph, [0, 1, 2], "ic", None, 50, rng_seed=1)

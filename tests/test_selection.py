@@ -1,12 +1,14 @@
 """Lazy greedy vs naive greedy, bootstrap equivalence, and the heuristics."""
 
+import heapq
 import itertools
 
 import numpy as np
 import pytest
 
-from conftest import in_edges, random_ic_graph, random_lt_graph
+from conftest import in_edges, lt_admissible, random_ic_graph, random_lt_graph, reference_celf
 from hopspread import selection
+from hopspread.bounds import upper_bounds
 from hopspread.graph import Graph, WeightModel, apply_weight_model
 from hopspread.generate import power_law_graph
 from hopspread.oracle import ExactSpreadTable
@@ -88,11 +90,15 @@ class TestStateAwareBounds:
         g = apply_weight_model(power_law_graph(20000, 200000), WeightModel("wc"))
         popped = {}
         pairs = []
+        pops = []
         heappop, eval_gain = selection.heapq.heappop, selection.eval_gain
 
+        # The frontier's head waits in the heap, so every pop, from the
+        # frontier or of a re-keyed node, passes through heappop.
         def recording_heappop(heap):
             entry = heappop(heap)
             popped[entry[1]] = -entry[0]
+            pops.append(entry[2] == 0)
             return entry
 
         def recording_eval_gain(state, node):
@@ -103,6 +109,8 @@ class TestStateAwareBounds:
         monkeypatch.setattr(selection.heapq, "heappop", recording_heappop)
         monkeypatch.setattr(selection, "eval_gain", recording_eval_gain)
         res = greedy_celf(g, 100, model=model, hops=2)
+        assert len(pops) == res.evaluations + res.bound_refreshes + len(res.seeds)
+        assert any(pops) and not all(pops)
         assert len(pairs) == res.evaluations
         assert all(gain <= key for gain, key in pairs)
 
@@ -123,6 +131,66 @@ class TestStateAwareBounds:
         assert res.evaluations < self.PARENT_EVALUATIONS[model]
         assert res.bound_refreshes > 0
         assert greedy_celf(g, 20, model=model, hops=1).bound_refreshes == 0
+
+
+def tied_graph(copies=4, isolated=3):
+    """Disjoint copies of one 4-node motif (a 3-cycle through a p = 1 edge
+    plus a sink with no out-edges) and some isolated nodes, so that many
+    nodes share each bootstrap bound. Every in-weight sum is at most 1."""
+    src, dst, prob = [0, 1, 2, 0], [1, 2, 0, 3], [0.5, 1.0, 0.3, 0.5]
+    offsets = np.repeat(4 * np.arange(copies), 4)
+    return Graph(4 * copies + isolated, np.tile(src, copies) + offsets, np.tile(dst, copies) + offsets,
+                 np.tile(prob, copies))
+
+
+class TestFrontierMatchesAllNodeHeap:
+    """The sorted frontier pops in the order of the all-node heap it replaced."""
+
+    @staticmethod
+    def graphs(model):
+        rng = np.random.default_rng(47)
+        wc = apply_weight_model(power_law_graph(60, 200, rng_seed=5), WeightModel("wc"))
+        yield tied_graph()
+        yield wc
+        for _ in range(3):
+            if model == "ic":
+                yield random_ic_graph(rng, n_max=25, m_max=70, n_min=10, p_one_frac=0.2)
+            else:
+                yield lt_admissible(random_ic_graph(rng, n_max=25, m_max=70, n_min=10, p_one_frac=0.2))
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    @pytest.mark.parametrize("hops", [1, 2])
+    @pytest.mark.parametrize("bootstrap", ["upper_bounds", "none"])
+    def test_same_seeds_gains_and_counts(self, monkeypatch, model, hops, bootstrap):
+        # Both loops pop through heapq.heappop, so the pop sequences compare too.
+        pops = []
+        heappop = heapq.heappop
+
+        def recording_heappop(heap):
+            pops.append(heappop(heap))
+            return pops[-1]
+
+        monkeypatch.setattr(heapq, "heappop", recording_heappop)
+        for g in self.graphs(model):
+            for k in (1, 10, g.node_count):
+                ref = reference_celf(g, k, model=model, hops=hops, bootstrap=bootstrap)
+                ref_pops = pops.copy()
+                pops.clear()
+                res = greedy_celf(g, k, model=model, hops=hops, bootstrap=bootstrap)
+                assert pops == ref_pops
+                pops.clear()
+                assert res.seeds == ref.seeds
+                assert res.marginal_gains == ref.marginal_gains
+                assert res.evaluations == ref.evaluations
+                assert res.bound_refreshes == ref.bound_refreshes
+
+    def test_tied_graph_ties_bounds(self):
+        g = tied_graph()
+        for hops in (1, 2):
+            ub = upper_bounds(g, hops).values
+            assert len(np.unique(ub)) <= 4
+            # The four sinks and three isolated nodes share the smallest bound.
+            assert np.count_nonzero(ub == ub.min()) == 4 + 3
 
 
 class TestSelectionContracts:
