@@ -1,10 +1,10 @@
 """Directed probability-weighted graphs in compressed adjacency form.
 
 A `Graph` is immutable after construction and stores each edge once, in
-the outgoing CSR view sorted by (source, target): a target id and a
-probability per edge, a row offset and an original id per node. Nothing
-reads edges by target, so there is no incoming view; in-degrees are
-counted from the targets. Node ids are densified to 0..n-1;
+the outgoing CSR view sorted by (source, target): a target id (int32 below
+2^31 nodes) and a probability per edge, a row offset and an original id
+per node. Nothing reads edges by target, so there is no incoming view;
+in-degrees are counted from the targets. Node ids are densified to 0..n-1;
 `original_ids` maps internal ids back to the ids seen in the input so
 results can be reported in the caller's id space.
 
@@ -13,7 +13,7 @@ whose data lines are all digits, one space or tab, digits is read by one C
 integer scan (`np.fromstring`) after a leading '#' header. Any other input
 is read by `np.loadtxt` once its gates pass. The rest, and every malformed
 input, goes to the line loop `_parse_lines`, the reference that names the
-first bad line.
+first bad line. A scanned load's traced peak is the build's, ~35 B/edge.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ class GraphError(ValueError):
     """Malformed edge list or violated graph invariant."""
 
 
+def _index_dtype(n):
+    """int32 when every id below n fits in it, else int64."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 class Graph:
     """Immutable directed graph with per-edge propagation probabilities."""
 
@@ -58,10 +63,13 @@ class Graph:
 
         Rejects self-loops, duplicate (u, v) pairs, out-of-range endpoints,
         and probabilities outside [0, 1]. Errors name nodes by `original_ids`.
+        Integer id arrays that cast safely to int64 (int32 ones too) are used
+        as they come, others are cast to int64; targets are int32 when the
+        node count fits. The build adds a uint64 key and its argsort (16 B/edge).
         """
         n = int(node_count)
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src, dst = (a if isinstance(a, np.ndarray) and a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)
+                    else np.asarray(a, dtype=np.int64) for a in (src, dst))
         prob = np.asarray(prob, dtype=np.float64)
         if not (len(src) == len(dst) == len(prob)):
             raise GraphError("edge arrays must have equal length")
@@ -84,28 +92,30 @@ class Graph:
         if m and not ((prob >= 0.0) & (prob <= 1.0)).all():
             raise GraphError("edge probability outside [0, 1]")
 
-        idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
         self.node_count = n
         self.edge_count = m
         self.out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self.out_indptr[1:])
 
-        # Out-view: one argsort of (source, target) packed into 64-bit keys.
-        # Sorted keys are sorted pairs, so the first repeat is the smallest
-        # duplicate pair.
-        key = src.view(np.uint64) << np.uint64(node_bits)
-        key |= dst.view(np.uint64)
+        # Out-view: one argsort of (source, target) packed into uint64 keys. A
+        # prob of all zero bits ("u v" files) is made afresh once order is gone.
+        key = np.left_shift(src, np.uint64(node_bits), dtype=np.uint64, casting="unsafe")
+        np.bitwise_or(key, dst, out=key, dtype=np.uint64, casting="unsafe")
         order = np.argsort(key)
-        key = key[order]
-        self.out_prob = prob[order]
+        del key
+        self.out_dst = dst.astype(_index_dtype(n), copy=False).take(order)
+        out_prob = prob[order] if prob.view(np.uint64).any() else None
         del order
-        if m > 1:
-            dup = key[1:] == key[:-1]
-            if dup.any():
-                u, v = divmod(int(key[dup.argmax()]), 1 << node_bits)
-                raise GraphError(f"duplicate edge {int(original_ids[u])}->{int(original_ids[v])}")
-        key &= np.uint64((1 << node_bits) - 1)
-        self.out_dst = key.astype(idx_dtype)
+        self.out_prob = np.zeros(m) if out_prob is None else out_prob
+        # Rows are sorted, so the first target equal to its predecessor in its
+        # row (dup[i]: out_dst[i] vs out_dst[i - 1]) is the smallest duplicate.
+        dup = np.zeros(m + 1, dtype=bool)
+        np.equal(self.out_dst[1:], self.out_dst[:-1], out=dup[1:m])
+        dup[self.out_indptr] = False
+        if dup.any():
+            i = int(dup.argmax())
+            u = int(np.searchsorted(self.out_indptr, i, side="right")) - 1
+            raise GraphError(f"duplicate edge {int(original_ids[u])}->{int(original_ids[self.out_dst[i]])}")
         self.original_ids = original_ids
 
     def out_edges(self, u):
@@ -245,21 +255,22 @@ def load_edge_list(source, num_nodes=None):
 
     # Ids below the number read fit a presence table no larger than the
     # concatenated ids; sparse ids (up to 2^63 - 1) take a sort instead.
-    # Rebinding src and dst frees the raw ids before the build.
+    # Rebinding src and dst to int32 ranks (if n fits) frees the raw ids.
     top = int(max(src.max(), dst.max())) if len(src) else -1
     if 0 <= top < len(src) + len(dst):
         present = np.zeros(top + 1, dtype=bool)
         present[src] = True
         present[dst] = True
         ids = np.flatnonzero(present)
-        rank = np.cumsum(present) - 1
+        rank = np.cumsum(present, dtype=_index_dtype(len(ids)))
+        rank -= 1
         src = rank[src]
         dst = rank[dst]
         del present, rank
     else:
         ids = sorted_unique(np.concatenate([src, dst]))
-        src = np.searchsorted(ids, src)
-        dst = np.searchsorted(ids, dst)
+        src = np.searchsorted(ids, src).astype(_index_dtype(len(ids)), copy=False)
+        dst = np.searchsorted(ids, dst).astype(_index_dtype(len(ids)), copy=False)
     return Graph(len(ids), src, dst, prob, original_ids=ids)
 
 
@@ -326,7 +337,7 @@ def _load_table(data, first):
 
 
 _INT64_MAX = np.iinfo(np.int64).max
-_WINDOW = 1 << 20
+_WINDOW = 1 << 19
 
 
 def _scan_pairs(data, start):
@@ -466,8 +477,8 @@ def apply_weight_model(g, model):
     result is scaled by `model.scale_factor` and clamped to [0, 1].
     """
     if model.variant == "wc":
-        indeg = g.in_degrees()
-        base = 1.0 / indeg[g.out_dst]
+        with np.errstate(divide="ignore"):  # nodes without in-edges: inf, taken by no edge
+            base = (1.0 / g.in_degrees()).take(g.out_dst)
     elif model.variant == "trivalency":
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([int(model.rng_seed), _stream_tag()]))

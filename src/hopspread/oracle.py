@@ -22,7 +22,6 @@ accumulated in that same order, so every count is fixed by the seed.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +145,7 @@ def estimate_spread(g, seeds, model="ic", hop_limit=None, n_sims=10000, rng_seed
     if workers <= 1:
         parts = [_sim_chunk(g, seed_ids, model, hop_limit, rng_seed, 0, n_sims)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # ~2 MiB of RSS that one worker never needs
         bounds = np.linspace(0, n_sims, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(

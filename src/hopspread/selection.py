@@ -198,7 +198,8 @@ def degree_discount(g, k, p=0.01):
 
     A node's priority starts at its out-degree d and drops to
     d - 2t - (d - t)*t*p once t of its in-neighbors are selected. The heap
-    holds lazily invalidated entries; `current` is authoritative.
+    holds a sorted frontier's head, stamped with the next position, and
+    re-keyed entries, stamped 0. Any entry may be stale; `current` rules.
     """
     _check_k(g, k)
     if not 0.0 <= p <= 1.0:
@@ -208,12 +209,15 @@ def degree_discount(g, k, p=0.01):
     d = g.out_degrees().astype(np.float64)
     t = np.zeros(n)
     current = d.copy()
-    heap = [(-current[v], v) for v in range(n)]
-    heapq.heapify(heap)
+    order = np.argsort(-d, kind="stable")
+    heap = [(-d[order[0]], int(order[0]), 1)]
     selected = np.zeros(n, dtype=bool)
     seeds = []
     while len(seeds) < k:
-        negdd, u = heapq.heappop(heap)
+        negdd, u, stamp = heapq.heappop(heap)
+        if 0 < stamp < n:
+            v = int(order[stamp])
+            heapq.heappush(heap, (-d[v], v, stamp + 1))
         if selected[u] or -negdd != current[u]:
             continue
         selected[u] = True
@@ -225,7 +229,7 @@ def degree_discount(g, k, p=0.01):
                 continue
             t[v] += 1.0
             current[v] = d[v] - 2.0 * t[v] - (d[v] - t[v]) * t[v] * p
-            heapq.heappush(heap, (-current[v], v))
+            heapq.heappush(heap, (-current[v], v, 0))
     return SeedResult(
         seeds=seeds,
         marginal_gains=[],

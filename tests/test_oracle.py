@@ -1,6 +1,10 @@
 """Simulation and enumeration oracles: trivial cases, self-consistency."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,15 @@ class TestEstimateSpread:
             a = estimate_spread(chain_graph, [0], model, None, 400, rng_seed=5, workers=1)
             b = estimate_spread(chain_graph, [0], model, None, 400, rng_seed=5, workers=2)
             assert a.mean == b.mean and a.std_error == b.std_error
+
+    def test_one_worker_never_imports_the_process_pool(self):
+        # concurrent.futures costs ~2 MiB of RSS that one worker never uses.
+        code = ("import sys; from hopspread import cli; from hopspread.oracle import estimate_spread; "
+                "from hopspread.graph import Graph; estimate_spread(Graph(2, [0], [1], [0.5]), [0], n_sims=9, "
+                "rng_seed=1); print('concurrent.futures' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parent.parent)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_all_nodes_seeded(self, chain_graph):
         est = estimate_spread(chain_graph, [0, 1, 2], "ic", None, 50, rng_seed=1)

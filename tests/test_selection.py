@@ -276,30 +276,46 @@ class TestDegreeDiscount:
         seeds = degree_discount(g, g.node_count).seeds
         assert sorted(seeds) == list(range(g.node_count))
 
-    def test_matches_full_recompute(self):
+    @staticmethod
+    def full_recompute(g, k, p):
         # Oracle: recompute every node's discounted degree from scratch each
         # round and pick the max with the same tie-break.
+        expected = []
+        chosen = set()
+        d = g.out_degrees().astype(float)
+        for _ in range(k):
+            best, best_dd = None, None
+            for v in range(g.node_count):
+                if v in chosen:
+                    continue
+                srcs, _ = in_edges(g, v)
+                t = sum(1 for u in srcs if int(u) in chosen)
+                dd = d[v] - 2 * t - (d[v] - t) * t * p
+                if best_dd is None or dd > best_dd:
+                    best, best_dd = v, dd
+            chosen.add(best)
+            expected.append(best)
+        return expected
+
+    def test_matches_full_recompute(self):
         rng = np.random.default_rng(46)
         for _ in range(15):
             g = random_ic_graph(rng, n_max=15, m_max=50, n_min=5)
             p = float(rng.choice([0.0, 0.01, 0.1]))
             k = int(rng.integers(1, g.node_count + 1))
-            expected = []
-            chosen = set()
-            d = g.out_degrees().astype(float)
-            for _ in range(k):
-                best, best_dd = None, None
-                for v in range(g.node_count):
-                    if v in chosen:
-                        continue
-                    srcs, _ = in_edges(g, v)
-                    t = sum(1 for u in srcs if int(u) in chosen)
-                    dd = d[v] - 2 * t - (d[v] - t) * t * p
-                    if best_dd is None or dd > best_dd:
-                        best, best_dd = v, dd
-                chosen.add(best)
-                expected.append(best)
-            assert degree_discount(g, k, p=p).seeds == expected
+            assert degree_discount(g, k, p=p).seeds == self.full_recompute(g, k, p)
+        # Tie-heavy: every node has out-degree 2 (or 2 and 3), so nearly every
+        # pick breaks a tie by id, among frontier and re-keyed entries alike;
+        # with p = 1 a priority rises again once t passes (d + 1) / 2.
+        for n, degrees in [(40, (2,)), (60, (2, 3)), (70, (2,))]:
+            src, dst = [], []
+            for u in range(n):
+                targets = rng.choice(np.delete(np.arange(n), u), size=int(rng.choice(degrees)), replace=False)
+                src += [u] * len(targets)
+                dst += targets.tolist()
+            g = Graph(n, src, dst, [0.0] * len(src))
+            for p in (0.0, 0.1, 1.0):
+                assert degree_discount(g, n, p=p).seeds == self.full_recompute(g, n, p)
 
     def test_p_validation(self, chain_graph):
         with pytest.raises(ValueError):
