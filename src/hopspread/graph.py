@@ -8,19 +8,16 @@ in-degrees are counted from the targets. Node ids are densified to 0..n-1;
 `original_ids` maps internal ids back to the ids seen in the input so
 results can be reported in the caller's id space.
 
-`load_edge_list` reads text edge lists. A "u v" file (SNAP's format)
-whose data lines are all digits, one space or tab, digits is read by one C
-integer scan (`np.fromstring`) after a leading '#' header. Any other input
-is read by `np.loadtxt` once its gates pass. The rest, and every malformed
-input, goes to the line loop `_parse_lines`, the reference that names the
-first bad line. A scanned load's traced peak is the build's, ~35 B/edge.
+`load_edge_list` reads text edge lists with two engines: a C scan
+(`np.fromstring`) for "u v" and "u v p" files whose data lines pass a
+byte-level gate, and the line loop `_parse_lines`, the reference that
+takes every other input and names the first bad line.
 """
 
 from __future__ import annotations
 
 import io
 import re
-import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -225,12 +222,7 @@ def load_edge_list(source, num_nodes=None):
     0.0 pending a WeightModel. With `num_nodes`, ids are taken as already
     dense and the graph is padded with isolated nodes up to that count;
     otherwise the distinct ids that appear are densified in sorted order.
-
-    Most inputs are parsed in C (see `_parse_buffer`): plain "u v" files by
-    one integer scan, the others by `np.loadtxt`. Any other input goes
-    through the line loop, which names the first bad line or accepts the
-    valid inputs the C parsers leave to it. The raw buffer and the raw ids
-    are released as soon as the next step no longer needs them.
+    A malformed line raises a GraphError that names it.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
@@ -275,104 +267,62 @@ def load_edge_list(source, num_nodes=None):
 
 
 _FIRST_DATA_LINE = re.compile(rb"^[^\S\n]*[^\s#][^\n]*", re.MULTILINE)
-_EDGE_FIELDS = [("u", np.int64), ("v", np.int64), ("p", np.float64)]
-
-
-def _parse_buffer(data):
-    """(src, dst, prob) of an edge list parsed in C, or None.
-
-    A "u v" file (SNAP's format) whose data lines are all digits, one
-    separator byte and digits is read by `_scan_pairs`, one integer scan
-    after a leading '#' header. Any other input, and a "u v" file the scan
-    leaves, goes to `_load_table` (`np.loadtxt`). None means the line loop
-    must decide.
-    """
-    if isinstance(data, str):
-        return None
-    first = _FIRST_DATA_LINE.search(data)
-    if first and len(first.group().split()) == 2:
-        edges = _scan_pairs(data, first.start())
-        if edges is not None:
-            return edges
-    return _load_table(data, first)
-
-
-def _load_table(data, first):
-    """(src, dst, prob) of an edge list parsed by `np.loadtxt`, or None.
-
-    `first` is the first data line's match. None means the line loop must
-    decide: the input holds a non-ASCII byte off a comment line (numpy's
-    integer parser reads some non-ASCII letters as digits) or is not UTF-8,
-    a '#' follows data on its line (loadtxt would drop it as a comment), the
-    column count varies, or a value fails a check the loop applies. On
-    ASCII data lines, loadtxt splits lines and fields like
-    `bytes.split(b"\\n")` and `str.split()` and accepts a subset of what
-    `int()` and `float()` accept, with equal values.
-    """
-    if not _comments_lead_their_lines(data):
-        return None
-    if not data.isascii():
-        if not _non_ascii_only_in_comments(data):
-            return None
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    columns = len(first.group().decode().split()) if first else 0
-    if columns not in (2, 3):
-        return None
-    try:
-        # numpy 1.23-1.x parses a non-integer id such as "1.0" or "2.7" as a
-        # float, truncates it and only warns; int() rejects it.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(io.BytesIO(data), dtype=_EDGE_FIELDS[:columns], comments="#", ndmin=1)
-    except (ValueError, DeprecationWarning):
-        return None
-    src, dst = rows["u"], rows["v"]
-    prob = rows["p"] if columns == 3 else np.zeros(len(rows))
-    if (src < 0).any() or (dst < 0).any() or (src == dst).any() or not ((prob >= 0.0) & (prob <= 1.0)).all():
-        return None
-    return src, dst, prob
-
-
 _INT64_MAX = np.iinfo(np.int64).max
 _WINDOW = 1 << 19
 
 
-def _scan_pairs(data, start):
-    """(src, dst, zeros) of the "u v" lines in data[start:], or None.
+def _parse_buffer(data):
+    """(src, dst, prob) of an edge list read by the C scan, or None.
 
-    data[:start] is the header: blank and '#' lines, which must be UTF-8.
-    The rest is read in windows of about `_WINDOW` bytes of whole lines, so
-    that no check holds a transient of the whole buffer. Each window must
-    pass `_pair_tokens`; then `np.fromstring` reads exactly the tokens that
-    `str.split()` gives the line loop, with the values `int()` gives. The
-    scan saturates a value beyond 2^63 - 1 at 2^63 - 1, so a file holding
-    that value is left to `np.loadtxt`, as is a self-loop.
+    The first data line's field count picks the gate, `_pair_tokens` ("u v")
+    or `_triple_tokens` ("u v p"); the lines before it must be UTF-8. Whole
+    lines (the last may lack its "\\n") are gated and read in windows of about
+    `_WINDOW` bytes, so that no check holds a transient of the whole buffer.
+    `np.fromstring` reads the tokens `str.split()` gives the line loop: "u v"
+    ids as int64, as `int()` does but saturating at 2^63 - 1; "u v p" fields
+    as float64, as `float()` does, so ids are exact below 2^53 and, rounding
+    being monotone, read as 2^53 or more above it. Such ids, self-loops and
+    probabilities above 1 leave the input to the line loop, as None does.
     """
+    first = None if isinstance(data, str) else _FIRST_DATA_LINE.search(data)
+    columns = len(first.group().split()) if first else 0
+    if columns not in (2, 3):
+        return None
+    start = first.start()
     if not data[:start].isascii():
         try:
             data[:start].decode("utf-8")
         except UnicodeDecodeError:
             return None
+    gate = _pair_tokens if columns == 2 else _triple_tokens
     windows = []
     while start < len(data):
         end = data.find(b"\n", start + _WINDOW) + 1 or len(data)
-        count = _pair_tokens(data[start:end])
+        count = gate(data[start:end] if data.endswith(b"\n", start, end) else data[start:end] + b"\n")
         if count is None:
             return None
         windows.append((start, end, count))
         start = end
-    tokens = np.empty(sum(count for _, _, count in windows), dtype=np.int64)
+    m = sum(count for _, _, count in windows) // columns
+    ids = np.empty((m, 2), dtype=np.int64)
+    prob = np.empty(m) if columns == 3 else None
     at = 0
+    # Each window's rows are freed before the next read: the buffer never lives
+    # next to two windows' rows, or to a float64 copy of every field.
     for start, end, count in windows:
-        tokens[at : at + count] = np.fromstring(data[start:end], dtype=np.int64, count=count, sep=" ")
-        at += count
-    src, dst = tokens[0::2], tokens[1::2]
-    if (tokens == _INT64_MAX).any() or (src == dst).any():
+        rows = np.fromstring(data[start:end], dtype=np.float64 if columns == 3 else np.int64, count=count, sep=" ")
+        rows = rows.reshape(-1, columns)
+        if columns == 3:
+            if not (rows[:, :2] < 2.0**53).all():
+                return None
+            prob[at : at + len(rows)] = rows[:, 2]
+        ids[at : at + len(rows)] = rows[:, :2]
+        at += len(rows)
+        del rows
+    src, dst = ids[:, 0], ids[:, 1]
+    if (ids == _INT64_MAX).any() or (src == dst).any() or (columns == 3 and (prob > 1.0).any()):
         return None
-    return src, dst, np.zeros(len(src))
+    return src, dst, prob if columns == 3 else np.zeros(m)
 
 
 def _pair_tokens(window):
@@ -392,30 +342,39 @@ def _pair_tokens(window):
     return len(rest)
 
 
-def _comments_lead_their_lines(data):
-    """Whether only blanks precede the first '#' of every line holding one."""
-    i = data.find(b"#")
-    while i >= 0:
-        if data[data.rfind(b"\n", 0, i) + 1 : i].strip():
-            return False
-        end = data.find(b"\n", i)
-        i = data.find(b"#", end) if end >= 0 else -1
-    return True
+# The non-digit bytes of a "u v p" line as classes: sep, '.', exponent mark,
+# its sign, "\n". Two of them may follow one another only as these pairs,
+# with digits between them (flag at index pair << 1) or touching (pair << 1 | 1).
+_CLASSES = bytes.maketrans(b" \t.eE+-\n", b"ssdeeggn")
+_PAIRS = np.zeros(1 << 17, dtype=bool)
+_PAIRS[[(a << 8 | b) << 1 for a, b in (b"ss", b"sn", b"sd", b"se", b"dn", b"de", b"en", b"gn", b"ns")]] = True
+_PAIRS[[(a << 8 | b) << 1 | 1 for a, b in (b"sd", b"dn", b"de", b"eg")]] = True
 
 
-_NON_ASCII = re.compile(rb"[\x80-\xff]")
+def _triple_tokens(window):
+    """How many values `window` holds if its lines are all "<digits>" sep
+    "<digits>" sep "<probability>\\n", with sep one ' ' or one tab throughout
+    and each probability matching (\\d+\\.?\\d*|\\.\\d+)([eE][+-]?\\d+)?, else None.
 
-
-def _non_ascii_only_in_comments(data):
-    """Whether every line holding a non-ASCII byte starts, after blanks, with '#'."""
-    hit = _NON_ASCII.search(data)
-    while hit:
-        i = hit.start()
-        if not data[data.rfind(b"\n", 0, i) + 1 : i].lstrip().startswith(b"#"):
-            return False
-        end = data.find(b"\n", i)
-        hit = _NON_ASCII.search(data, end) if end >= 0 else None
-    return True
+    That holds when the window starts with a digit, its non-digit bytes less
+    '.', 'e', 'E', '+' and '-' repeat sep sep "\\n", each non-digit byte and
+    the next are in `_PAIRS`, and no '.' touches a non-digit on both sides.
+    `np.fromstring` itself reads "1e" or "1.5.3" as a prefix without error.
+    """
+    b = np.frombuffer(window, dtype=np.uint8)
+    at = np.flatnonzero(b - np.uint8(0x30) > 9)  # the non-digit bytes
+    rest = b[at].tobytes()
+    sep = rest[:1]
+    ends = rest.translate(None, b".eE+-")
+    if sep not in (b" ", b"\t") or not window.endswith(b"\n") or ends != (sep * 2 + b"\n") * (len(ends) // 3):
+        return None
+    kind = np.frombuffer(rest.translate(_CLASSES), dtype=np.uint8)
+    touching = at[1:] - at[:-1] == 1
+    if at[0] == 0 or not _PAIRS[(kind[:-1].astype(np.intp) << 8 | kind[1:]) << 1 | touching].all():
+        return None
+    if (touching[:-1] & touching[1:] & (kind[1:-1] == ord("d"))).any():
+        return None
+    return len(ends)
 
 
 def _parse_lines(data):

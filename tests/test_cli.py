@@ -112,8 +112,11 @@ class TestSelect:
         [
             (b"0 1\n9223372036854775808 1\n", "line 2: node id beyond 2^63 - 1"),
             (b"0 1\n1 \xff2\n", "line 2: byte 0xff is not UTF-8"),
+            (b"0 1 0.5\n1 2 1e\n", "line 2: non-numeric probability"),
+            (b"0 1 0.5\n1 2 1.5.3\n", "line 2: non-numeric probability"),
+            (b"0 1 0.5\n1 2 inf\n", "line 2: probability inf outside [0, 1]"),
         ],
-        ids=["id-beyond-2^63", "not-utf8"],
+        ids=["id-beyond-2^63", "not-utf8", "exponent-without-digits", "two-points", "inf-probability"],
     )
     def test_hostile_graph_is_located_data_error(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.txt"
