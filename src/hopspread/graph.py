@@ -342,13 +342,14 @@ def _pair_tokens(window):
     return len(rest)
 
 
-# The non-digit bytes of a "u v p" line as classes: sep, '.', exponent mark,
-# its sign, "\n". Two of them may follow one another only as these pairs,
-# with digits between them (flag at index pair << 1) or touching (pair << 1 | 1).
-_CLASSES = bytes.maketrans(b" \t.eE+-\n", b"ssdeeggn")
-_PAIRS = np.zeros(1 << 17, dtype=bool)
-_PAIRS[[(a << 8 | b) << 1 for a, b in (b"ss", b"sn", b"sd", b"se", b"dn", b"de", b"en", b"gn", b"ns")]] = True
-_PAIRS[[(a << 8 | b) << 1 | 1 for a, b in (b"sd", b"dn", b"de", b"eg")]] = True
+# The non-digit bytes of a "u v p" line as classes 0-4, named s d e g n: sep,
+# '.', exponent mark, its sign, "\n". _PAIRS[a, b, touching] is True where
+# class b may follow class a with digits between them (0) or right after it (1).
+_CLASSES = bytes.maketrans(b" \t.eE+-\n", b"\0\0\1\2\2\3\3\4")
+_PAIRS = np.zeros((5, 5, 2), dtype=bool)
+for _touching, _allowed in enumerate(["ss sn sd se dn de en gn ns", "sd dn de eg"]):
+    for _a, _b in _allowed.split():
+        _PAIRS["sdegn".index(_a), "sdegn".index(_b), _touching] = True
 
 
 def _triple_tokens(window):
@@ -370,9 +371,9 @@ def _triple_tokens(window):
         return None
     kind = np.frombuffer(rest.translate(_CLASSES), dtype=np.uint8)
     touching = at[1:] - at[:-1] == 1
-    if at[0] == 0 or not _PAIRS[(kind[:-1].astype(np.intp) << 8 | kind[1:]) << 1 | touching].all():
-        return None
-    if (touching[:-1] & touching[1:] & (kind[1:-1] == ord("d"))).any():
+    pairs = kind[:-1] * np.uint8(10) + kind[1:] * np.uint8(2) + touching  # flat indices into _PAIRS
+    lone_dots = touching[:-1] & touching[1:] & (kind[1:-1] == 1)  # a '.' between two non-digits
+    if at[0] == 0 or not _PAIRS.take(pairs).all() or lone_dots.any():
         return None
     return len(ends)
 

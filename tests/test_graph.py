@@ -1,7 +1,9 @@
 """Edge-list parsing, weight models, and graph invariants."""
 
 import io
+import itertools
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -261,7 +263,8 @@ class TestFastParseMatchesLineLoop:
         [b"+ 5\n", b"5 +\n", b"- 6\n", b"+5 6\n", b"1 2 3\n4\n", b"1\n2 3 4\n", b"1 2\n3\n", b"1 2\r3 4\n",
          b"1\x1c2\n", b"1 2\r\n", b"1  2\n", b"1 2\n3\t4\n", b"1 2\n\n3 4\n", b"1 2\n\n", b"1 9223372036854775807\n",
          b"1 9223372036854775808\n", b"1 99999999999999999999\n", b"0 1\n# mid-file\n1 2\n", b"7 7\n",
-         b"1 \n 2\n", b" 12\n3 4\n", b"0 1 1e\n", b"0 1 0.5\n1 2 1e", b"0 1 1.5.3\n", b"0 1 .\n", b"0 1 +.5\n",
+         b"1 \n 2\n", b" 12\n3 4\n", b"0 1\n1 \n 2\n", b"0 1\n 12\n3 4\n", b"0 1\n2 3 4\n", b"0 1\n1\x1c2\n",
+         b"0 1\n1 2\r3 4\n", b"0 1 1e\n", b"0 1 0.5\n1 2 1e", b"0 1 1.5.3\n", b"0 1 .\n", b"0 1 +.5\n",
          b"0 1 -0\n", b"0 1 inf\n", b"0 1 nan\n", b"0 1 1e+\n", b"0 1 .e3\n", b"0 1 e5\n", b"0 1 1e5+3\n",
          b"0 1 0e5+3\n", b"0 1 1e999\n", b"0 1 1.5\n", b"1e3 2 0.5\n", b"0 1 0.5 \n", b"0 1  0.5\n", b"0 1\t0.5\n",
          b"0 1 0.5\r\n", b"0 1 0.5\n1 2\n", b"0 0 0.5\n", b"9007199254740992 1 0.5\n", b"9223372036854775807 1 0.5\n"],
@@ -273,6 +276,24 @@ class TestFastParseMatchesLineLoop:
         got = _load_outcome(text, None)
         monkeypatch.setattr(graph_module, "_parse_buffer", lambda data: None)
         assert got == _load_outcome(text, None)
+
+    def test_blanks_beside_a_line_end_fail_the_pair_gate(self):
+        # The non-digit bytes repeat sep + "\n", but there are fewer ids than
+        # that count, so np.fromstring would raise instead of the loop naming a line.
+        for text in (b"1 \n 2\n", b"0 1\n1 \n 2\n", b" 12\n3 4\n", b"0 1\n 12\n3 4\n"):
+            assert graph_module._pair_tokens(text) is None, text
+
+    def test_triple_gate_takes_exactly_the_probability_grammar(self):
+        # Every literal of up to 5 bytes over "05.eE+-", mid-file and as the
+        # last token of a window without its "\n".
+        grammar = re.compile(rb"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+        for size in range(1, 6):
+            for literal in map(bytes, itertools.product(b"05.eE+-", repeat=size)):
+                valid = grammar.fullmatch(literal) is not None
+                assert (graph_module._triple_tokens(b"0 1 " + literal + b"\n1 2 1\n") is not None) == valid, literal
+                edges = graph_module._parse_buffer(b"0 1 0.5\n1 2 " + literal)
+                assert (edges is not None) == (valid and float(literal) <= 1), literal
+                assert edges is None or edges[2][1] == float(literal), literal
 
     def test_a_window_may_not_start_with_a_blank(self, monkeypatch):
         # One line per window: the "\n " pair straddles two windows.
@@ -431,11 +452,12 @@ class TestLoadMemory:
         assert per_edge < 40, f"{per_edge:.1f} B/edge"
 
     def test_traced_peak_per_edge_with_probabilities(self, tmp_path):
-        # Repr probabilities make 30.2 B/edge of text. The scan sets the peak:
-        # the buffer, the int64 ids and float64 probabilities it fills (24
-        # B/edge) and one window's slice and rows (~5 B/edge), ~59 B/edge.
-        # Reading every field into float64 before casting the ids (+24 B/edge)
-        # or keeping a second window's rows alive breaks the bound.
+        # Repr probabilities make 30.2 B/edge of text. The scan sets the peak at
+        # ~59 B/edge: the buffer, the int64 ids and float64 probabilities it
+        # fills (24 B/edge) and one window's slice and rows (~5 B/edge at this
+        # size). Any whole-file copy on top (4 B/edge or more, such as every
+        # field read into float64 before the ids are cast) breaks the bound; a
+        # second window's rows alive (~1.3 B/edge) only just break it.
         per_edge = self.traced_peak_per_edge(tmp_path / "edges.txt", lambda a, b, p: f"{a} {b} {p!r}\n")
         assert per_edge <= 60, f"{per_edge:.1f} B/edge"
 
