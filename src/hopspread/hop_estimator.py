@@ -183,7 +183,7 @@ def eval_gain(state, u):
     q1_values = np.concatenate(([0.0], q1w_new))
     if s.hops == 1:
         gain = q1[u] + (q1w - q1w_new).sum()
-        return GainReport(s, u, max(float(gain), 0.0), q1_nodes, q1_values)
+        return GainReport(s, u, float(gain), q1_nodes, q1_values)
 
     # Only the out-edges of C = {u} + ws change their transmission; each
     # reached target's q2 takes the product (IC) or sum (LT) of its edges'
@@ -226,7 +226,7 @@ def eval_gain(state, u):
     gain = q2[u] + (q2[t] - t_values).sum()
     q2_nodes = np.concatenate(([u], t))
     q2_values = np.concatenate(([0.0], t_values))
-    return GainReport(s, u, max(float(gain), 0.0), q1_nodes, q1_values, q2_nodes, q2_values)
+    return GainReport(s, u, float(gain), q1_nodes, q1_values, q2_nodes, q2_values)
 
 
 def commit(state, report):

@@ -182,7 +182,7 @@ def high_degree(g, k, degree="out"):
         deg = g.out_degrees() + g.in_degrees()
     else:
         raise ValueError(f"unknown degree kind {degree!r}")
-    order = np.lexsort((np.arange(g.node_count), -deg))
+    order = np.argsort(-deg, kind="stable")
     seeds = [int(v) for v in order[:k]]
     return SeedResult(
         seeds=seeds,
@@ -196,40 +196,31 @@ def high_degree(g, k, degree="out"):
 def degree_discount(g, k, p=0.01):
     """Degree-discount heuristic on out-degrees.
 
-    A node's priority starts at its out-degree d and drops to
-    d - 2t - (d - t)*t*p once t of its in-neighbors are selected. The heap
-    holds a sorted frontier's head, stamped with the next position, and
-    re-keyed entries, stamped 0. Any entry may be stale; `current` rules.
+    A node's priority starts at its out-degree d and becomes
+    d - 2t - (d - t)*t*p once t of its in-neighbors are selected. Each of
+    the k picks takes the first maximum of the priority array, so ties go to
+    the smaller id, then updates the picked node's unselected out-neighbors.
+    A pick costs O(n), so k close to n on a large graph costs O(nk).
     """
     _check_k(g, k)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     t0 = time.perf_counter()
-    n = g.node_count
     d = g.out_degrees().astype(np.float64)
-    t = np.zeros(n)
-    current = d.copy()
-    order = np.argsort(-d, kind="stable")
-    heap = [(-d[order[0]], int(order[0]), 1)]
-    selected = np.zeros(n, dtype=bool)
+    t = np.zeros(g.node_count)
+    priority = d.copy()
+    selected = np.zeros(g.node_count, dtype=bool)
     seeds = []
-    while len(seeds) < k:
-        negdd, u, stamp = heapq.heappop(heap)
-        if 0 < stamp < n:
-            v = int(order[stamp])
-            heapq.heappush(heap, (-d[v], v, stamp + 1))
-        if selected[u] or -negdd != current[u]:
-            continue
+    for _ in range(k):
+        u = int(priority.argmax())
         selected[u] = True
+        priority[u] = -np.inf
         seeds.append(u)
         nbrs, _ = g.out_edges(u)
-        for v in nbrs:
-            v = int(v)
-            if selected[v]:
-                continue
-            t[v] += 1.0
-            current[v] = d[v] - 2.0 * t[v] - (d[v] - t[v]) * t[v] * p
-            heapq.heappush(heap, (-current[v], v, 0))
+        # Out-rows hold no duplicate targets, so the fancy += is exact.
+        w = nbrs[~selected[nbrs]]
+        t[w] += 1.0
+        priority[w] = d[w] - 2.0 * t[w] - (d[w] - t[w]) * t[w] * p
     return SeedResult(
         seeds=seeds,
         marginal_gains=[],

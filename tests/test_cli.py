@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: outputs, round trips, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -351,11 +353,15 @@ class TestBench:
 
 class TestSubprocess:
     def test_module_entry_point(self, chain_file):
+        # The child finds the package in src/ whether or not it is installed.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "hopspread.cli", "select", "--graph", chain_file,
              "--model", "file", "--algo", "onehop", "--k", "1"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["seeds"] == [10]

@@ -318,6 +318,7 @@ class TestLocalRecomputation:
                     changed = np.flatnonzero(after != before)
                     assert np.isin(changed, nodes).all()
                     assert r.gain == pytest.approx(after.sum() - before.sum(), abs=1e-12)
+                    assert r.gain >= 0.0
 
 
 def grouped_q2(state, report):

@@ -2,6 +2,7 @@
 
 import heapq
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,18 @@ class TestHighDegree:
 
     def test_chain_tie_break(self, chain_graph):
         assert high_degree(chain_graph, 2).seeds == [0, 1]
+        # Tie-heavy: 50 nodes with out-degree 1 or 2 share a handful of
+        # degree values, so nearly every rank is decided by id.
+        rng = np.random.default_rng(47)
+        n = 50
+        src = np.repeat(np.arange(n), rng.integers(1, 3, size=n))
+        dst = (src + rng.integers(1, n, size=len(src))) % n
+        keep = np.unique(src * n + dst)
+        g = Graph(n, keep // n, keep % n, [0.0] * len(keep))
+        for kind, deg in [("out", g.out_degrees()), ("in", g.in_degrees()),
+                          ("total", g.out_degrees() + g.in_degrees())]:
+            expected = sorted(range(n), key=lambda v: (-int(deg[v]), v))
+            assert high_degree(g, n, degree=kind).seeds == expected
 
     def test_k_equals_node_count(self, chain_graph):
         assert sorted(high_degree(chain_graph, 3).seeds) == [0, 1, 2]
@@ -305,8 +318,8 @@ class TestDegreeDiscount:
             k = int(rng.integers(1, g.node_count + 1))
             assert degree_discount(g, k, p=p).seeds == self.full_recompute(g, k, p)
         # Tie-heavy: every node has out-degree 2 (or 2 and 3), so nearly every
-        # pick breaks a tie by id, among frontier and re-keyed entries alike;
-        # with p = 1 a priority rises again once t passes (d + 1) / 2.
+        # pick breaks a tie by id, among untouched and discounted priorities
+        # alike; with p = 1 a priority rises again once t passes (d + 1) / 2.
         for n, degrees in [(40, (2,)), (60, (2, 3)), (70, (2,))]:
             src, dst = [], []
             for u in range(n):
@@ -320,3 +333,16 @@ class TestDegreeDiscount:
     def test_p_validation(self, chain_graph):
         with pytest.raises(ValueError):
             degree_discount(chain_graph, 1, p=1.5)
+
+    def test_traced_peak_per_node(self):
+        # d, t and priority (8 B each) and the selected mask (1 B) come to
+        # 25 B/node, and a hub's out-row transients to ~6 more. A heap entry
+        # per updated out-neighbor, never dropped, peaks near 220 B/node here.
+        g = power_law_graph(100_000, 1_000_000, rng_seed=7)
+        tracemalloc.start()
+        try:
+            degree_discount(g, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / g.node_count <= 48
