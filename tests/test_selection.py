@@ -337,7 +337,7 @@ class TestDegreeDiscount:
     def test_traced_peak_per_node(self):
         # d, t and priority (8 B each) and the selected mask (1 B) come to
         # 25 B/node, and a hub's out-row transients to ~6 more. A heap entry
-        # per updated out-neighbor, never dropped, peaks near 220 B/node here.
+        # per updated out-neighbor would peak near 220 B/node here.
         g = power_law_graph(100_000, 1_000_000, rng_seed=7)
         tracemalloc.start()
         try:
