@@ -234,6 +234,8 @@ def cmd_evaluate(args):
 
 
 def cmd_bounds(args):
+    if args.hops < 0:
+        raise ConfigError("--hops must be non-negative")
     g, _ = _load_weighted(args)
     ub = upper_bounds(g, args.hops)
     if args.format == "json":
@@ -264,6 +266,8 @@ def cmd_bench(args):
         raise ConfigError(f"bench sweeps --scales, not --scale: use --scales {args.scale:g}")
     scales = _parse_list(args.scales, float, "--scales")
     ks = _parse_list(args.ks, int, "--ks")
+    if min(ks) < 1:
+        raise ConfigError("--ks: each k must be at least 1")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:
         raise ConfigError("empty algorithm sweep")
@@ -284,7 +288,7 @@ def cmd_bench(args):
             raise ConfigError(f"--synthetic {args.synthetic}: {e}") from None
     else:
         base = load_edge_list(args.graph, num_nodes=args.num_nodes)
-    lines = ["algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds"]
+    lines = ["algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds,bound_refreshes"]
     for scale in scales:
         model, _ = _weight_model(argparse.Namespace(model=args.model, rng_seed=rng_seed, scale=scale), "--scales")
         g = apply_weight_model(base, model)
@@ -304,7 +308,8 @@ def cmd_bench(args):
                 )
                 seed_text = ";".join(str(int(g.original_ids[v])) for v in result.seeds)
                 lines.append(
-                    f"{result.algorithm},{k},{scale:.10g},{seconds:.6f},{result.evaluations},{est.mean:.10g},{seed_text}"
+                    f"{result.algorithm},{k},{scale:.10g},{seconds:.6f},{result.evaluations},{est.mean:.10g},{seed_text},"
+                    f"{result.bound_refreshes}"
                 )
     _emit(args, "\n".join(lines) + "\n")
     return 0

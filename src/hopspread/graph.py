@@ -276,8 +276,9 @@ def _parse_buffer(data):
 
     The first data line's field count picks the gate, `_pair_tokens` ("u v")
     or `_triple_tokens` ("u v p"); the lines before it must be UTF-8. Whole
-    lines (the last may lack its "\\n") are gated and read in windows of about
-    `_WINDOW` bytes, so that no check holds a transient of the whole buffer.
+    lines up to the last non-blank one (which may lack its "\\n") are gated
+    and read in windows of about `_WINDOW` bytes, so that no check holds a
+    transient of the whole buffer; blank lines after it are skipped.
     `np.fromstring` reads the tokens `str.split()` gives the line loop: "u v"
     ids as int64, as `int()` does but saturating at 2^63 - 1; "u v p" fields
     as float64, as `float()` does, so ids are exact below 2^53 and, rounding
@@ -295,9 +296,15 @@ def _parse_buffer(data):
         except UnicodeDecodeError:
             return None
     gate = _pair_tokens if columns == 2 else _triple_tokens
+    # Blank lines at the end would fail the gate, so the scan stops at the
+    # "\n" of the last non-blank line (the first data line ends the walk back).
+    stop = len(data)
+    while data[stop - 1] in b" \t\r\n":
+        stop -= 1
+    stop = data.find(b"\n", stop) + 1 or len(data)
     windows = []
-    while start < len(data):
-        end = data.find(b"\n", start + _WINDOW) + 1 or len(data)
+    while start < stop:
+        end = data.find(b"\n", start + _WINDOW, stop) + 1 or stop
         count = gate(data[start:end] if data.endswith(b"\n", start, end) else data[start:end] + b"\n")
         if count is None:
             return None

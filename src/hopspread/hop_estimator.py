@@ -37,7 +37,10 @@ recomputation.
 `gain_bound` is a cheaper two-hop stand-in for `eval_gain` when only an
 upper bound is needed: it reads the candidate's out-row and each
 out-neighbor's total out-probability (kept per node in the state), so it
-costs O(out-degree) where an evaluation reads every out-row of C.
+costs O(out-degree) where an evaluation reads every out-row of C. Under
+the cascade model each of the candidate's own edges also reads its
+target's q2 and weighs its rise by q2[t] / f_old <= 1, the weight the
+exact product update gives it; the out-neighbors' edges weigh 1.
 """
 
 from __future__ import annotations
@@ -159,18 +162,34 @@ def _one_hop(s, u):
 def gain_bound(state, u):
     """Upper bound on the two-hop gain of adding `u`, in O(out-degree of u).
 
-    A fall of q1 at node c raises the transmission of each out-edge of c by
-    p * (fall), and a node's two-hop survival falls by at most the sum of its
-    in-edges' rises (IC: telescoping the product; LT: the sum, which clipping
-    only shrinks). Adding u lowers q1 at u to 0 and at each w in ws to its
-    would-be value, so the gain is at most q2[u] + q1[u] W[u] + sum over ws of
-    (q1[w] - q1'[w]) W[w], W being each node's total out-probability. At the
-    empty seed set this is `upper_bounds(g, 2)`. BOUND_SLACK covers the
-    rounding of the gain's own evaluation.
+    A fall of q1 at node c raises the transmission of each out-edge (c, t)
+    by p * (fall), and t's two-hop survival q2[t] falls by at most the sum
+    over those edges of the rise times a weight r in [0, 1]. LT: r = 1 (the
+    subtracted sum, which clipping only shrinks). IC: r = q2[t] / f_old with
+    f_old = 1 - p * (1 - q1[c]), since telescoping the product drops q2[t]
+    by at most q2[t] * (1 - f_new / f_old) per edge; a non-seed t's q2 has
+    f_old as a factor, so r <= 1, and a seed's q2 is 0.
+
+    Adding u lowers q1 at u to 0 and at each w in ws to q1'[w]. The bound
+    reads r on u's own IC edges and takes r = 1 on every other edge:
+    q2[u] + q1[u] * (sum of p * r over u's out-edges) + the sum over ws of
+    (q1[w] - q1'[w]) W[w], W being each node's total out-probability. An
+    edge with f_old = 0 has already made q2[t] exactly 0 (see `eval_gain`),
+    so r = 1 there is safe. At the empty seed set every r is 1 and this is
+    `upper_bounds(g, 2)`. BOUND_SLACK covers the rounding of the gain's own
+    evaluation.
     """
     s = state
     u, ws, q1w, q1w_new = _one_hop(s, u)
-    b = s.q2[u] + s.q1[u] * s.out_weight[u] + float((q1w - q1w_new) @ s.out_weight[ws])
+    q1u = s.q1[u]
+    if s.model == "ic":
+        nbrs, ps = s.graph.out_edges(u)
+        f_old = 1.0 - ps * (1.0 - q1u)
+        r = np.divide(s.q2.take(nbrs), f_old, out=np.ones_like(f_old), where=f_old > 0.0)
+        own = float(ps @ r)
+    else:
+        own = s.out_weight[u]
+    b = s.q2[u] + q1u * own + float((q1w - q1w_new) @ s.out_weight[ws])
     return b + BOUND_SLACK * max(1.0, b)
 
 

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from hopspread.cli import main
+from hopspread.generate import power_law_graph
+from hopspread.graph import WeightModel, apply_weight_model
+from hopspread.selection import greedy_celf
 
 
 @pytest.fixture
@@ -146,10 +149,12 @@ class TestSelect:
             (["bench", "--synthetic", "60,x,2.5"], "--synthetic: 'x'"),
             (["bench", "--synthetic", "60,200,1.0", "--algos", "highdegree"], "--synthetic 60,200,1.0: gamma"),
             (["select", "--graph", "g.txt", "--dd-p", "2", "--algo", "degreediscount", "--k", "1"], "--dd-p"),
+            (["bench", "--graph", "g.txt", "--algos", "highdegree", "--ks", "0"], "--ks"),
+            (["bounds", "--graph", "g.txt", "--hops", "-1"], "--hops"),
         ],
         ids=["model", "scale", "hop-limit", "bench-scales", "bench-scale", "p-grid-bounds", "p-grid-count",
              "ratio-grid-bounds", "ratio-grid-count", "bench-ks", "bench-scales-number", "synthetic-m",
-             "synthetic-gamma", "dd-p"],
+             "synthetic-gamma", "dd-p", "bench-ks-zero", "bounds-hops"],
     )
     def test_bad_flag_value_is_config_error_naming_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)
@@ -160,6 +165,7 @@ class TestSelect:
 
     def test_k_too_large_is_data_error(self, chain_file):
         assert main(["select", "--graph", chain_file, "--algo", "twohop", "--k", "99"]) == 2
+        assert main(["bench", "--graph", chain_file, "--algos", "twohop", "--ks", "99", "--n-sims", "1"]) == 2
 
     def test_num_nodes_pads_isolated(self, tmp_path):
         path = tmp_path / "tiny.txt"
@@ -323,7 +329,7 @@ class TestBench:
                      "--ks", "2,3", "--scales", "1.0,1.5", "--n-sims", "30",
                      "--rng-seed", "5", "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds"
+        assert lines[0] == "algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds,bound_refreshes"
         assert len(lines) == 1 + 2 * 2 * 2
 
     @staticmethod
@@ -336,6 +342,11 @@ class TestBench:
         by_algo = {r[0]: r for r in rows}
         assert by_algo["twohop"][6] == by_algo["twohop-o"][6]
         assert int(by_algo["twohop"][4]) < int(by_algo["twohop-o"][4])
+        g = apply_weight_model(power_law_graph(400, 1600, gamma=2.5, rng_seed=7), WeightModel("wc"))
+        for algo, bootstrap in (("twohop", "upper_bounds"), ("twohop-o", "none")):
+            result = greedy_celf(g, 5, model=diffusion, bootstrap=bootstrap)
+            row = by_algo[algo]
+            assert (int(row[4]), int(row[7])) == (result.evaluations, result.bound_refreshes)
 
     def test_twohop_variants_agree_with_fewer_evaluations(self, tmp_path):
         self.assert_twohop_variants_agree(tmp_path, "ic")

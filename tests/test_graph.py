@@ -261,7 +261,7 @@ class TestFastParseMatchesLineLoop:
     @pytest.mark.parametrize(
         "text",
         [b"+ 5\n", b"5 +\n", b"- 6\n", b"+5 6\n", b"1 2 3\n4\n", b"1\n2 3 4\n", b"1 2\n3\n", b"1 2\r3 4\n",
-         b"1\x1c2\n", b"1 2\r\n", b"1  2\n", b"1 2\n3\t4\n", b"1 2\n\n3 4\n", b"1 2\n\n", b"1 9223372036854775807\n",
+         b"1\x1c2\n", b"1 2\r\n", b"1  2\n", b"1 2\n3\t4\n", b"1 2\n\n3 4\n", b"1 9223372036854775807\n",
          b"1 9223372036854775808\n", b"1 99999999999999999999\n", b"0 1\n# mid-file\n1 2\n", b"7 7\n",
          b"1 \n 2\n", b" 12\n3 4\n", b"0 1\n1 \n 2\n", b"0 1\n 12\n3 4\n", b"0 1\n2 3 4\n", b"0 1\n1\x1c2\n",
          b"0 1\n1 2\r3 4\n", b"0 1 1e\n", b"0 1 0.5\n1 2 1e", b"0 1 1.5.3\n", b"0 1 .\n", b"0 1 +.5\n",
@@ -312,17 +312,22 @@ class TestFastParseMatchesLineLoop:
         assert list(prob) == [1 / (i + 1) for i in range(20)]
 
     def test_fast_path_takes_clean_inputs(self):
+        # Blank lines after the last data line are skipped; each taken input reads as the loop reads it.
         for text in (b"0 1\n1 2\n", b"0\t1\n5\t2\n", b"# graph by M\xc3\xbcller\n0 1\n1 2\n",
                      b"\n# a\n  # b\n0 1\n1 2\n", b"0000000000000000001 2\n2 9223372036854775806\n",
                      b"1 2", b"0 1\n1 2",
                      b"# h\n  # i\n0 1 0.5\n1 2 1e-1\n", b"0\t1\t.5\n1\t2\t0.\n", b"0 1 1E+0\n1 2 5e-05\n2 0 1e-320\n",
-                     b"0 1 0.1234567890123456789012345\n9007199254740991 0 1", b"0 1 0.5\n1 2 1"):
-            assert graph_module._parse_buffer(text) is not None, text
+                     b"0 1 0.1234567890123456789012345\n9007199254740991 0 1", b"0 1 0.5\n1 2 1",
+                     b"1 2\n\n", b"0 1\n1 2\n \n\t\r\n\n", b"0 1 0.5\n1 2 1e-1\n\n  \n"):
+            edges = graph_module._parse_buffer(text)
+            assert edges is not None, text
+            for got, want in zip(edges, graph_module._parse_lines(text)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), text
         # CRLF ends, mid-file blank or '#' lines, blanks before a line end and
         # '+' signs are left to the loop.
         for text in (b"0 1 # x\n", b"0 1\n1 2 0.5\n", b"1_0 2\n", b"0 1\r2 3\n", b"# only\n",
                      b"# h\n  # i\n0 1 0.5\r\n\n1 2 1e-1 \n", b"0\t1\n+5 2\n",
-                     b"0 1 0.5\n\t#\xe2\x80\xa8 5 6\r\n1 2 1\n"):
+                     b"0 1 0.5\n\t#\xe2\x80\xa8 5 6\r\n1 2 1\n", b"0 1 0.5\n1 2 1\r\n\n", b"0 1 0.5 \n\n"):
             assert graph_module._parse_buffer(text) is None, text
 
     def test_non_ascii_data_lines_leave_the_scan(self):

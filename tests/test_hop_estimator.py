@@ -555,11 +555,30 @@ class TestGainBound:
         for model, g in self.graphs(rng):
             sinks += int((g.out_degrees() == 0).sum())
             s = init_state(g, model, 2)
+            src = np.repeat(np.arange(g.node_count), g.out_degrees())
             for v in rng.permutation(g.node_count)[: g.node_count - 1]:
                 commit(s, eval_gain(s, int(v)))
                 for u in np.flatnonzero(~s.seed_mask):
                     assert eval_gain(s, int(u)).gain <= gain_bound(s, int(u))
+                if model == "ic":
+                    # The IC bound's premise: a non-seed target's q2 has each
+                    # in-edge's f = 1 - p (1 - q1[source]) as a factor, up to
+                    # the rounding of the incremental updates.
+                    f = 1.0 - g.out_prob * (1.0 - s.q1[src])
+                    into = ~s.seed_mask[g.out_dst]
+                    assert (s.q2[g.out_dst][into] <= f[into] * (1.0 + 1e-12)).all()
         assert sinks > 0
+
+    def test_ic_edge_with_zero_f_from_a_certain_node(self):
+        # Seed 0 activates 1 with p = 1, so q1[1] = 0 and 1's p = 1 edge to 2
+        # has f = 0: the bound must skip 0 / 0, not turn it into a nan.
+        g = Graph(5, [0, 1, 1, 2], [1, 2, 3, 4], [1.0, 1.0, 0.5, 0.5])
+        s = init_state(g, "ic", 2)
+        commit(s, eval_gain(s, 0))
+        assert s.q1[1] == 0.0 and s.q2[2] == 0.0
+        with np.errstate(all="raise"):
+            b = gain_bound(s, 1)
+        assert np.isfinite(b) and eval_gain(s, 1).gain <= b
 
     def test_empty_seed_set_bound_is_upper_bounds(self):
         rng = np.random.default_rng(78)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import in_edges, lt_admissible, random_ic_graph, random_lt_graph, reference_celf
-from hopspread import selection
+from hopspread import hop_estimator, selection
 from hopspread.bounds import upper_bounds
 from hopspread.graph import Graph, WeightModel, apply_weight_model
 from hopspread.generate import power_law_graph
+from hopspread.hop_estimator import BOUND_SLACK
 from hopspread.oracle import ExactSpreadTable
 from hopspread.selection import degree_discount, greedy_celf, greedy_naive, high_degree
 
@@ -132,6 +133,21 @@ class TestStateAwareBounds:
         assert res.evaluations < self.PARENT_EVALUATIONS[model]
         assert res.bound_refreshes > 0
         assert greedy_celf(g, 20, model=model, hops=1).bound_refreshes == 0
+
+    def test_ic_bound_reads_own_row_against_state(self, monkeypatch):
+        # The bound before the candidate's own edges carried q2[t] / f_old:
+        # each of them weighed 1, so the candidate's term was q1[u] W[u].
+        def w_only_bound(state, u):
+            u, ws, q1w, q1w_new = hop_estimator._one_hop(state, u)
+            b = state.q2[u] + state.q1[u] * state.out_weight[u] + float((q1w - q1w_new) @ state.out_weight[ws])
+            return b + BOUND_SLACK * max(1.0, b)
+
+        g = apply_weight_model(power_law_graph(2000, 20000, rng_seed=7), WeightModel("wc"))
+        res = greedy_celf(g, 50, model="ic", hops=2)
+        monkeypatch.setattr(selection, "gain_bound", w_only_bound)
+        w_only = greedy_celf(g, 50, model="ic", hops=2)
+        assert res.seeds == w_only.seeds and res.marginal_gains == w_only.marginal_gains
+        assert res.evaluations < w_only.evaluations
 
 
 def tied_graph(copies=4, isolated=3):
