@@ -18,12 +18,14 @@ from .bounds import UpperBounds, upper_bounds
 from .generate import power_law_graph, power_law_in_degree_graph
 from .graph import Graph, GraphError, WeightModel, apply_weight_model, load_edge_list, validate_lt
 from .hop_estimator import (
+    GainProbe,
     GainReport,
     HopState,
     StaleReportError,
     commit,
     eval_gain,
     init_state,
+    probe_gain,
     spread,
 )
 from .oracle import (
@@ -45,6 +47,7 @@ from .selection import (
 
 __all__ = [
     "ExactSpreadTable",
+    "GainProbe",
     "GainReport",
     "Graph",
     "GraphError",
@@ -75,6 +78,7 @@ __all__ = [
     "one_hop_expected_lb",
     "power_law_graph",
     "power_law_in_degree_graph",
+    "probe_gain",
     "simulate_once",
     "solve_expected_fraction",
     "spread",

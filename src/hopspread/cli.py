@@ -127,6 +127,7 @@ def cmd_select(args):
         "elapsed_seconds": result.elapsed,
         "evaluations": result.evaluations,
         "bound_refreshes": result.bound_refreshes,
+        "probes": result.probes,
         "config": {
             "graph": args.graph,
             "model": model_text,
@@ -288,7 +289,7 @@ def cmd_bench(args):
             raise ConfigError(f"--synthetic {args.synthetic}: {e}") from None
     else:
         base = load_edge_list(args.graph, num_nodes=args.num_nodes)
-    lines = ["algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds,bound_refreshes"]
+    lines = ["algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds,bound_refreshes,probes"]
     for scale in scales:
         model, _ = _weight_model(argparse.Namespace(model=args.model, rng_seed=rng_seed, scale=scale), "--scales")
         g = apply_weight_model(base, model)
@@ -309,7 +310,7 @@ def cmd_bench(args):
                 seed_text = ";".join(str(int(g.original_ids[v])) for v in result.seeds)
                 lines.append(
                     f"{result.algorithm},{k},{scale:.10g},{seconds:.6f},{result.evaluations},{est.mean:.10g},{seed_text},"
-                    f"{result.bound_refreshes}"
+                    f"{result.bound_refreshes},{result.probes}"
                 )
     _emit(args, "\n".join(lines) + "\n")
     return 0

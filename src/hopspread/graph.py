@@ -276,7 +276,7 @@ def _parse_buffer(data):
 
     The first data line's field count picks the gate, `_pair_tokens` ("u v")
     or `_triple_tokens` ("u v p"); the lines before it must be UTF-8. Whole
-    lines up to the last non-blank one (which may lack its "\\n") are gated
+    lines up to the last non-blank one (which may lack its line end) are gated
     and read in windows of about `_WINDOW` bytes, so that no check holds a
     transient of the whole buffer; blank lines after it are skipped.
     `np.fromstring` reads the tokens `str.split()` gives the line loop: "u v"
@@ -305,7 +305,10 @@ def _parse_buffer(data):
     windows = []
     while start < stop:
         end = data.find(b"\n", start + _WINDOW, stop) + 1 or stop
-        count = gate(data[start:end] if data.endswith(b"\n", start, end) else data[start:end] + b"\n")
+        if data.endswith(b"\n", start, end):
+            count = gate(data[start:end])
+        else:  # the last line lacks its end: give it the window's own
+            count = gate(data[start:end] + (b"\r\n" if data.rfind(b"\r\n", start, end) >= 0 else b"\n"))
         if count is None:
             return None
         windows.append((start, end, count))
@@ -334,19 +337,25 @@ def _parse_buffer(data):
 
 def _pair_tokens(window):
     """How many ids `window` holds if its lines are all "<digits>" sep
-    "<digits>\\n", with sep one ' ' or one tab throughout, else None.
+    "<digits>" eol, with sep one ' ' or one tab and eol "\\n" or "\\r\\n",
+    each the same throughout, else None.
 
-    That holds when the non-digit bytes repeat sep + "\\n", no two of them
-    touch and the window starts with a digit and ends with "\\n".
+    That holds when the non-digit bytes repeat sep + eol, no two of them
+    touch but the "\\r\\n" of a CRLF eol, and the window starts with a digit
+    and ends with "\\n". `np.fromstring` reads "\\r\\n" as it reads "\\n".
     """
     rest = window.translate(None, b"0123456789")
-    sep = rest[:1]
-    if sep not in (b" ", b"\t") or not window.endswith(b"\n") or rest != (sep + b"\n") * (len(rest) // 2):
+    line = rest[:3] if rest[1:2] == b"\r" else rest[:2]
+    if line[:1] not in (b" ", b"\t") or not window.endswith(b"\n") or rest != line * (len(rest) // len(line)):
         return None
-    blank = np.frombuffer(window, dtype=np.uint8) < 0x30
-    if blank[0] or (blank[1:] & blank[:-1]).any():
+    b = np.frombuffer(window, dtype=np.uint8)
+    blank = b < 0x30
+    touching = blank[1:] & blank[:-1]
+    if len(line) == 3:
+        touching ^= b[:-1] == 0x0D  # each "\r" must touch its "\n"
+    if blank[0] or touching.any():
         return None
-    return len(rest)
+    return 2 * (len(rest) // len(line))
 
 
 # The non-digit bytes of a "u v p" line as classes 0-4, named s d e g n: sep,

@@ -6,11 +6,11 @@ two-hop out-neighborhood. `HopState` stores survival complements
 q = 1 - activation probability, which stay well conditioned when
 activation approaches 1.
 
-Probing and committing are split: `eval_gain` writes nothing to the state
-and returns a `GainReport` holding the would-be values, so a selection
-loop can probe many candidates and commit only the winner. A report
-remembers the state it was computed against and that state's version
-stamp, and `commit` refuses any other.
+Evaluating and committing are split: `eval_gain` writes nothing to the
+state and returns a `GainReport` holding the would-be values, so a
+selection loop can evaluate many candidates and commit only the winner. A
+report remembers the state it was computed against and that state's
+version stamp, and `commit` refuses any other.
 
 An evaluation lowers the one-hop survival q1 of the candidate u (to 0) and
 of its non-seed out-neighbors ws (by one factor under the cascade model,
@@ -25,22 +25,30 @@ f = 1 - p * (1 - q1[c]) before and after:
 - threshold: q2'[t] = max(q2[t] - sum p * (q1[c] - q1'[c]), 0), which is
   the clipped closed form whether or not q2[t] was clipped before.
 
-So an evaluation costs the out-edges of C, grouped by target with one
-sort of uint64 keys that pack each edge's target above its index in C's
-edge list. The keys are unique, so each target's product or sum runs in
-ascending C-edge order on every platform and sort. An evaluation writes
-only arrays it allocated, and the state has no per-edge array. Each update
-moves q1 and q2 by one rounding step per changed edge, so the state stays
-within rounding of the closed form of its seed set and needs no periodic
-recomputation.
+An evaluation runs in two steps. A probe gathers C's out-edges, their
+targets and each edge's change (f_new / f_old, or the subtracted weight);
+then the edges are grouped by target with one sort of uint64 keys that
+pack each edge's target above its index in C's edge list. The keys are
+unique, so each target's product or sum runs in ascending C-edge order on
+every platform and sort. `probe_gain` returns the probe with a linear
+bound summed from its edges: q2[u] plus, over C's edges, q2[t] * (1 -
+f_new / f_old) under the cascade model (1 - prod c <= sum (1 - c)) or
+min(q2[t], p * (q1[c] - q1'[c])) under the threshold model (min(a, sum c)
+<= sum min(a, c)). This is `gain_bound` with its weight r = q2[t] / f_old
+read on every edge, not only on u's own, so gain <= probe <= `gain_bound`.
+A selection loop can probe a candidate and pass the probe to `eval_gain`
+only if its bound comes out on top. Neither step writes the state, and the
+state has no per-edge array. Each update moves q1 and q2 by one rounding
+step per changed edge, so the state stays within rounding of the closed
+form of its seed set and needs no periodic recomputation.
 
-`gain_bound` is a cheaper two-hop stand-in for `eval_gain` when only an
-upper bound is needed: it reads the candidate's out-row and each
-out-neighbor's total out-probability (kept per node in the state), so it
-costs O(out-degree) where an evaluation reads every out-row of C. Under
-the cascade model each of the candidate's own edges also reads its
-target's q2 and weighs its rise by q2[t] / f_old <= 1, the weight the
-exact product update gives it; the out-neighbors' edges weigh 1.
+`gain_bound` is a cheaper two-hop stand-in for a probe: it reads the
+candidate's out-row and each out-neighbor's total out-probability (kept
+per node in the state), so it costs O(out-degree) where a probe reads
+every out-row of C. Under the cascade model each of the candidate's own
+edges also reads its target's q2 and weighs its rise by q2[t] / f_old <=
+1, the weight the exact product update gives it; the out-neighbors' edges
+weigh 1.
 """
 
 from __future__ import annotations
@@ -50,13 +58,34 @@ import numpy as np
 from ._segments import gather_rows, segment_sum
 from .graph import GraphError, validate_lt
 
-# Relative slack on `gain_bound`: a computed gain can sit an ulp above the
-# exact-arithmetic bound.
+# Relative slack on `gain_bound` and probe bounds: a computed gain can sit
+# an ulp above the exact-arithmetic bound.
 BOUND_SLACK = 1e-9
 
 
 class StaleReportError(RuntimeError):
-    """A GainReport was produced against another state or an older version."""
+    """A GainReport or GainProbe was produced against another state or an older version."""
+
+
+class GainProbe:
+    """A candidate's would-be one-hop values plus, with two hops, C's
+    out-edge targets and changes and the linear bound they give on its gain.
+
+    With one hop a probe is the evaluation itself, and `bound` is the exact
+    gain. The gather `eval_gain` runs for a node leaves a two-hop bound unset.
+    """
+
+    __slots__ = ("state", "candidate", "bound", "state_version", "q1_nodes", "q1_values", "c_dst", "change")
+
+    def __init__(self, state, candidate, bound, q1_nodes, q1_values, c_dst=None, change=None):
+        self.state = state
+        self.candidate = candidate
+        self.bound = bound
+        self.state_version = state.version
+        self.q1_nodes = q1_nodes
+        self.q1_values = q1_values
+        self.c_dst = c_dst
+        self.change = change
 
 
 class GainReport:
@@ -143,20 +172,31 @@ def init_state(g, model="ic", hops=2):
 
 
 def _one_hop(s, u):
-    """Candidate `u`'s non-seed out-neighbors ws, their one-hop survival and
-    their would-be one-hop survival once u is a seed."""
+    """Candidate `u`'s non-seed out-neighbors ws, their one-hop survival,
+    their would-be one-hop survival once u is a seed, and u's out-row."""
     u = int(u)
     if not 0 <= u < s.graph.node_count:
         raise ValueError(f"node id {u} out of range")
     if s.seed_mask[u]:
         raise ValueError(f"node {u} is already a seed")
     nbrs, ps = s.graph.out_edges(u)
-    keep = ~s.seed_mask[nbrs]
+    keep = ~s.seed_mask.take(nbrs)
     ws = nbrs[keep]
-    q1w = s.q1[ws]
+    q1w = s.q1.take(ws)
     # LT in-weights may sum to 1 + LT_WEIGHT_TOLERANCE, so only q1 - b can leave [0, 1].
     q1w_new = q1w * (1.0 - ps[keep]) if s.model == "ic" else np.maximum(q1w - ps[keep], 0.0)
-    return u, ws, q1w, q1w_new
+    return u, ws, q1w, q1w_new, nbrs, ps
+
+
+def _check_current(state, item, kind):
+    """Raise unless `item` (a report or a probe) was made against `state` at its current version."""
+    if item.state is not state:
+        raise StaleReportError(f"{kind} for node {item.candidate} was evaluated against another state")
+    if item.state_version != state.version:
+        raise StaleReportError(
+            f"{kind} for node {item.candidate} was evaluated at version "
+            f"{item.state_version}, state is at {state.version}"
+        )
 
 
 def gain_bound(state, u):
@@ -177,36 +217,34 @@ def gain_bound(state, u):
     edge with f_old = 0 has already made q2[t] exactly 0 (see `eval_gain`),
     so r = 1 there is safe. At the empty seed set every r is 1 and this is
     `upper_bounds(g, 2)`. BOUND_SLACK covers the rounding of the gain's own
-    evaluation.
+    evaluation. `probe_gain` reads r on every edge of C.
     """
     s = state
-    u, ws, q1w, q1w_new = _one_hop(s, u)
-    q1u = s.q1[u]
+    u, ws, q1w, q1w_new, nbrs, ps = _one_hop(s, u)
+    q1u = s.q1.item(u)
     if s.model == "ic":
-        nbrs, ps = s.graph.out_edges(u)
         f_old = 1.0 - ps * (1.0 - q1u)
         r = np.divide(s.q2.take(nbrs), f_old, out=np.ones_like(f_old), where=f_old > 0.0)
         own = float(ps @ r)
     else:
-        own = s.out_weight[u]
-    b = s.q2[u] + q1u * own + float((q1w - q1w_new) @ s.out_weight[ws])
+        own = s.out_weight.item(u)
+    b = s.q2.item(u) + q1u * own + float((q1w - q1w_new) @ s.out_weight.take(ws))
     return b + BOUND_SLACK * max(1.0, b)
 
 
-def eval_gain(state, u):
-    """Exact marginal hop-limited gain of adding `u`, without changing state."""
-    s = state
+def _gather(s, u):
+    """A probe of `u` without its bound: C's out-edge targets and changes.
+
+    With one hop the probe is the evaluation, and its bound is the gain.
+    """
     g, q1 = s.graph, s.q1
-    u, ws, q1w, q1w_new = _one_hop(s, u)
+    u, ws, q1w, q1w_new, _, _ = _one_hop(s, u)
     q1_nodes = np.concatenate(([u], ws))
     q1_values = np.concatenate(([0.0], q1w_new))
     if s.hops == 1:
-        gain = q1[u] + (q1w - q1w_new).sum()
-        return GainReport(s, u, float(gain), q1_nodes, q1_values)
+        return GainProbe(s, u, float(q1[u] + (q1w - q1w_new).sum()), q1_nodes, q1_values)
 
-    # Only the out-edges of C = {u} + ws change their transmission; each
-    # reached target's q2 takes the product (IC) or sum (LT) of its edges'
-    # changes, grouped by target.
+    # Only the out-edges of C = {u} + ws change their transmission.
     c_edges, c_seg = gather_rows(g.out_indptr, q1_nodes)
     counts = np.diff(c_seg)
     p = g.out_prob.take(c_edges)
@@ -219,21 +257,65 @@ def eval_gain(state, u):
         np.divide(change, f_old, out=change, where=f_old > 0.0)
     else:
         change = p * np.repeat(q1_old - q1_values, counts)
-    # One sort of uint64 keys (target, C-edge index) groups the edges in
-    # C-edge order; 64 bits hold both while the node count and C's edge
-    # count are at most 2^32.
-    edge_bits = np.uint64(max(len(c_edges) - 1, 0).bit_length())
-    key = g.out_dst.take(c_edges).astype(np.uint64)
+    return GainProbe(s, u, None, q1_nodes, q1_values, g.out_dst.take(c_edges), change)
+
+
+def probe_gain(state, u):
+    """First step of `eval_gain`: C's out-edges, their changes and the
+    linear bound on the gain of adding `u`, without changing state.
+
+    The bound is q2[u] plus, over C's out-edges (c, t), q2[t] * (1 - f_new /
+    f_old) under IC or min(q2[t], p * (q1[c] - q1'[c])) under LT, with
+    BOUND_SLACK on top. It lies between the gain and `gain_bound`, and at
+    the empty seed set it is `upper_bounds(g, 2)`. Pass the probe to
+    `eval_gain` before the next commit.
+    """
+    s = state
+    probe = _gather(s, u)
+    if s.hops == 2:
+        drop = s.q2.take(probe.c_dst)
+        if s.model == "ic":
+            drop *= 1.0 - probe.change
+        else:
+            np.minimum(drop, probe.change, out=drop)
+        b = s.q2.item(probe.candidate) + float(drop.sum())
+        probe.bound = b + BOUND_SLACK * max(1.0, b)
+    return probe
+
+
+def eval_gain(state, u):
+    """Exact marginal hop-limited gain of adding `u`, without changing state.
+
+    `u` is a node, whose probe is gathered first (without its bound), or a
+    `GainProbe` made against this state at its current version.
+    """
+    s = state
+    if isinstance(u, GainProbe):
+        _check_current(s, u, "probe")
+        probe = u
+    else:
+        probe = _gather(s, u)
+    u, q1_nodes, q1_values = probe.candidate, probe.q1_nodes, probe.q1_values
+    if s.hops == 1:
+        return GainReport(s, u, probe.bound, q1_nodes, q1_values)
+
+    # Each reached target's q2 takes the product (IC) or sum (LT) of its
+    # edges' changes. One sort of uint64 keys (target, C-edge index) groups
+    # the edges in C-edge order; 64 bits hold both while the node count and
+    # C's edge count are at most 2^32.
+    c_dst = probe.c_dst
+    edge_bits = np.uint64(max(len(c_dst) - 1, 0).bit_length())
+    key = c_dst.astype(np.uint64)
     key <<= edge_bits
-    key |= np.arange(len(c_edges), dtype=np.uint64)
+    key |= np.arange(len(c_dst), dtype=np.uint64)
     key.sort()
-    c_dst = (key >> edge_bits).view(np.int64)
+    dst = (key >> edge_bits).view(np.int64)
     key &= (np.uint64(1) << edge_bits) - np.uint64(1)
-    change = change.take(key.view(np.int64))
-    first = np.ones(len(c_dst), dtype=bool)
-    np.not_equal(c_dst[1:], c_dst[:-1], out=first[1:])
+    change = probe.change.take(key.view(np.int64))
+    first = np.ones(len(dst), dtype=bool)
+    np.not_equal(dst[1:], dst[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    reach = c_dst.take(starts)
+    reach = dst.take(starts)
     live = ~s.seed_mask[reach] & (reach != u)
     t = reach[live]
     q2 = s.q2
@@ -250,13 +332,7 @@ def eval_gain(state, u):
 
 def commit(state, report):
     """Apply a GainReport produced against this exact state and version."""
-    if report.state is not state:
-        raise StaleReportError(f"report for node {report.candidate} was evaluated against another state")
-    if report.state_version != state.version:
-        raise StaleReportError(
-            f"report for node {report.candidate} was evaluated at version "
-            f"{report.state_version}, state is at {state.version}"
-        )
+    _check_current(state, report, "report")
     u = report.candidate
     if state.seed_mask[u]:
         raise ValueError(f"node {u} is already a seed")

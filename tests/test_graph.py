@@ -261,7 +261,7 @@ class TestFastParseMatchesLineLoop:
     @pytest.mark.parametrize(
         "text",
         [b"+ 5\n", b"5 +\n", b"- 6\n", b"+5 6\n", b"1 2 3\n4\n", b"1\n2 3 4\n", b"1 2\n3\n", b"1 2\r3 4\n",
-         b"1\x1c2\n", b"1 2\r\n", b"1  2\n", b"1 2\n3\t4\n", b"1 2\n\n3 4\n", b"1 9223372036854775807\n",
+         b"1\x1c2\n", b"1 2\r\n3 4\n", b"1  2\n", b"1 2\n3\t4\n", b"1 2\n\n3 4\n", b"1 9223372036854775807\n",
          b"1 9223372036854775808\n", b"1 99999999999999999999\n", b"0 1\n# mid-file\n1 2\n", b"7 7\n",
          b"1 \n 2\n", b" 12\n3 4\n", b"0 1\n1 \n 2\n", b"0 1\n 12\n3 4\n", b"0 1\n2 3 4\n", b"0 1\n1\x1c2\n",
          b"0 1\n1 2\r3 4\n", b"0 1 1e\n", b"0 1 0.5\n1 2 1e", b"0 1 1.5.3\n", b"0 1 .\n", b"0 1 +.5\n",
@@ -323,12 +323,59 @@ class TestFastParseMatchesLineLoop:
             assert edges is not None, text
             for got, want in zip(edges, graph_module._parse_lines(text)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), text
-        # CRLF ends, mid-file blank or '#' lines, blanks before a line end and
-        # '+' signs are left to the loop.
+        # "u v p" CRLF ends, mid-file blank or '#' lines, blanks before a line
+        # end and '+' signs are left to the loop.
         for text in (b"0 1 # x\n", b"0 1\n1 2 0.5\n", b"1_0 2\n", b"0 1\r2 3\n", b"# only\n",
                      b"# h\n  # i\n0 1 0.5\r\n\n1 2 1e-1 \n", b"0\t1\n+5 2\n",
                      b"0 1 0.5\n\t#\xe2\x80\xa8 5 6\r\n1 2 1\n", b"0 1 0.5\n1 2 1\r\n\n", b"0 1 0.5 \n\n"):
             assert graph_module._parse_buffer(text) is None, text
+
+    def test_crlf_pairs_keep_the_scan(self, monkeypatch):
+        # "\r\n" throughout a window keeps the "u v" scan, also when the last
+        # line lacks its end; each taken input reads as the loop reads it. A
+        # lone "\r", LF and CRLF in one window and a blank before "\r\n" go
+        # to the loop.
+        for text in (b"0 1\r\n1 2\r\n", b"0\t1\r\n5\t2\r\n", b"# h\r\n\r\n0 1\r\n1 2\r\n", b"0 1\r\n1 2\r\n\r\n",
+                     b"0 1\r\n1 2\r\n\r\n \r\n\t\r\n", b"0 1\r\n1 2\r\n\n\n", b"\r\n0 1\r",
+                     b"0 1\r\n1 2", b"# h\r\n0 1"):
+            edges = graph_module._parse_buffer(text)
+            assert edges is not None, text
+            for got, want in zip(edges, graph_module._parse_lines(text)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), text
+        for text in (b"0 1\r\n1 2\n", b"0 1\n1 2\r\n", b"0 1\r2 3\r\n", b"0 1\r\n1\r2\r\n", b"0 1\r\r\n",
+                     b"0 1 \r\n", b"0 1\r\n\r\n1 2\r\n", b"0 1\r\n1 2\r", b"0 1\r\n1 2\r3\n"):
+            assert graph_module._parse_buffer(text) is None, text
+            got = _load_outcome(text, None)
+            with monkeypatch.context() as m:
+                m.setattr(graph_module, "_parse_buffer", lambda data: None)
+                assert got == _load_outcome(text, None), text
+
+    @pytest.mark.parametrize("window", [0, 16, 1 << 19])
+    def test_crlf_differential(self, monkeypatch, window):
+        # Fuzzed edge lists with CRLF ends, LF and CRLF mixed, a lone "\r"
+        # mid-line, and trailing CRLF blank lines load as the loop loads them.
+        monkeypatch.setattr(graph_module, "_WINDOW", window)
+        rng = np.random.default_rng(1018 + window)
+        taken = {"crlf": 0, "mixed": 0, "lone-cr": 0, "trailing": 0}
+        for case in range(240):
+            data, num_nodes = fuzz_edge_list(rng, "none" if case % 3 else MUTATIONS[case % len(MUTATIONS)])
+            kind = list(taken)[case % 4]
+            if kind == "mixed":
+                parts = data.split(b"\n")
+                data = b"".join(part + (b"\r\n" if rng.random() < 0.5 else b"\n") for part in parts[:-1]) + parts[-1]
+            else:
+                data = data.replace(b"\n", b"\r\n")
+            if kind == "lone-cr" and data:
+                at = int(rng.integers(len(data)))
+                data = data[:at] + b"\r" + data[at:]
+            elif kind == "trailing":
+                data += b"\r\n" * int(rng.integers(1, 4)) + [b"", b" \r\n", b"\t\r\n\r\n"][int(rng.integers(3))]
+            got = _load_outcome(data, num_nodes)
+            with monkeypatch.context() as m:
+                m.setattr(graph_module, "_parse_buffer", lambda data: None)
+                assert got == _load_outcome(data, num_nodes), (data, num_nodes)
+            taken[kind] += graph_module._parse_buffer(data) is not None
+        assert taken["crlf"] >= 10 and taken["trailing"] >= 10, taken
 
     def test_non_ascii_data_lines_leave_the_scan(self):
         # The gates must not rely on how a numpy version treats non-ASCII

@@ -19,7 +19,16 @@ from conftest import (
 from hopspread import hop_estimator
 from hopspread.bounds import upper_bounds
 from hopspread.graph import LT_WEIGHT_TOLERANCE, Graph, GraphError, validate_lt
-from hopspread.hop_estimator import BOUND_SLACK, StaleReportError, commit, eval_gain, gain_bound, init_state, spread
+from hopspread.hop_estimator import (
+    BOUND_SLACK,
+    StaleReportError,
+    commit,
+    eval_gain,
+    gain_bound,
+    init_state,
+    probe_gain,
+    spread,
+)
 from hopspread.oracle import exact_spread
 
 
@@ -421,7 +430,7 @@ class TestStateIsItsSeedSet:
                 arr.flags.writeable = False
         sigma, version = s.sigma, s.version
         for u in np.flatnonzero(~s.seed_mask):
-            eval_gain(s, int(u))
+            eval_gain(s, probe_gain(s, int(u)))
             if hops == 2:
                 gain_bound(s, int(u))
         assert (s.sigma, s.version, len(s.seeds)) == (sigma, version, 20)
@@ -594,3 +603,80 @@ class TestGainBound:
         for bad in (0, -1, 3):
             with pytest.raises(ValueError):
                 gain_bound(s, bad)
+
+
+class TestProbe:
+    """`probe_gain` bounds the gain between the evaluation and `gain_bound`,
+    and `eval_gain` finishes a probe into the report it would give a node."""
+
+    @staticmethod
+    def states(rng, hops=2):
+        """IC and LT states on graphs with p = 1 edges and 2-cycles, at
+        several seed-set sizes."""
+        for n in (30, 60):
+            g = random_graph_with_cycles(rng, n=n)
+            for model, graph in (("ic", g), ("lt", lt_admissible(g))):
+                order = [int(v) for v in rng.permutation(n)]
+                for size in (0, 1, 3, n // 4, n // 2, n - 2):
+                    s = init_state(graph, model, hops)
+                    for v in order[:size]:
+                        commit(s, eval_gain(s, v))
+                    yield s
+
+    def test_gain_within_probe_within_gain_bound(self):
+        rng = np.random.default_rng(91)
+        sizes = set()
+        for s in self.states(rng):
+            sizes.add(len(s.seeds))
+            for u in np.flatnonzero(~s.seed_mask):
+                probe = probe_gain(s, int(u))
+                assert eval_gain(s, int(u)).gain <= probe.bound
+                # Equal at the empty seed set, where only rounding separates them.
+                assert probe.bound <= gain_bound(s, int(u)) * (1.0 + 1e-12)
+        assert len(sizes) >= 5
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_empty_seed_set_probe_is_upper_bounds(self, model):
+        rng = np.random.default_rng(92)
+        for _ in range(10):
+            g = random_graph_with_cycles(rng, n=int(rng.integers(10, 50)))
+            if model == "lt":
+                g = lt_admissible(g)
+            s = init_state(g, model, 2)
+            bound = np.array([probe_gain(s, u).bound for u in range(g.node_count)])
+            # At S = {} every bound is at least 1, so the slack is BOUND_SLACK * bound.
+            np.testing.assert_allclose(bound / (1.0 + BOUND_SLACK), upper_bounds(g, 2).values, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("hops", [1, 2])
+    def test_probe_evaluates_to_the_node_report(self, hops):
+        rng = np.random.default_rng(93)
+        fields = ("candidate", "gain", "state_version", "q1_nodes", "q1_values", "q2_nodes", "q2_values")
+        for s in self.states(rng, hops):
+            for u in np.flatnonzero(~s.seed_mask)[:12]:
+                probe = probe_gain(s, int(u))
+                direct = eval_gain(s, int(u))
+                # Twice: evaluating a probe does not change it.
+                for report in (eval_gain(s, probe), eval_gain(s, probe)):
+                    assert report.state is s
+                    for name in fields:
+                        a, b = getattr(report, name), getattr(direct, name)
+                        assert type(a) is type(b)
+                        if isinstance(a, np.ndarray):
+                            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                        else:
+                            assert a == b
+                if hops == 1:
+                    assert probe.bound == direct.gain
+
+    @pytest.mark.parametrize("hops", [1, 2])
+    def test_stale_probe_and_seed_are_refused(self, chain_graph, hops):
+        s = init_state(chain_graph, "ic", hops)
+        probe = probe_gain(s, 1)
+        commit(s, eval_gain(s, 0))
+        with pytest.raises(StaleReportError, match="probe for node 1 was evaluated at version 0"):
+            eval_gain(s, probe)
+        with pytest.raises(StaleReportError, match="another state"):
+            eval_gain(init_state(chain_graph, "ic", hops), probe_gain(s, 1))
+        for bad in (0, -1, 3):
+            with pytest.raises(ValueError):
+                probe_gain(s, bad)

@@ -70,9 +70,11 @@ class TestCelfMatchesNaive:
         calls = []
         eval_gain = selection.eval_gain
 
+        # A node or a waiting probe: record the candidate it stands for.
         def recording_eval_gain(state, node):
-            calls.append((node, state.version))
-            return eval_gain(state, node)
+            report = eval_gain(state, node)
+            calls.append((report.candidate, state.version))
+            return report
 
         monkeypatch.setattr(selection, "eval_gain", recording_eval_gain)
         res = greedy_celf(g, 10, model=model, hops=hops, bootstrap=bootstrap)
@@ -92,29 +94,40 @@ class TestStateAwareBounds:
         g = apply_weight_model(power_law_graph(20000, 200000), WeightModel("wc"))
         popped = {}
         pairs = []
+        probe_pairs = []
         pops = []
-        heappop, eval_gain = selection.heapq.heappop, selection.eval_gain
+        heappop, eval_gain, probe_gain = selection.heapq.heappop, selection.eval_gain, selection.probe_gain
 
         # The frontier's head waits in the heap, so every pop, from the
         # frontier or of a re-keyed node, passes through heappop.
         def recording_heappop(heap):
             entry = heappop(heap)
-            popped[entry[1]] = -entry[0]
-            pops.append(entry[2] == 0)
+            popped[entry[1]] = (-entry[0], entry[2])
+            pops.append(entry[2] == 1)
             return entry
 
         def recording_eval_gain(state, node):
             report = eval_gain(state, node)
-            pairs.append((report.gain, popped[node]))
+            pairs.append((report.gain, *popped[report.candidate]))
             return report
+
+        def recording_probe_gain(state, node):
+            probe = probe_gain(state, node)
+            probe_pairs.append((probe.bound, popped[node][0]))
+            return probe
 
         monkeypatch.setattr(selection.heapq, "heappop", recording_heappop)
         monkeypatch.setattr(selection, "eval_gain", recording_eval_gain)
+        monkeypatch.setattr(selection, "probe_gain", recording_probe_gain)
         res = greedy_celf(g, 100, model=model, hops=2)
-        assert len(pops) == res.evaluations + res.bound_refreshes + len(res.seeds)
+        assert len(pops) == res.evaluations + res.bound_refreshes + res.probes + len(res.seeds)
         assert any(pops) and not all(pops)
-        assert len(pairs) == res.evaluations
-        assert all(gain <= key for gain, key in pairs)
+        assert len(pairs) == res.evaluations and len(probe_pairs) == res.probes > 0
+        assert all(gain <= key for gain, key, _ in pairs)
+        # Keys at stamp 3 * round + 1 with round >= 1 are probe bounds.
+        assert any(stamp > 1 for _, _, stamp in pairs)
+        # A probe bound is gain_bound with r read on more edges, up to rounding.
+        assert all(bound <= key * (1.0 + 1e-12) for bound, key in probe_pairs)
 
     @pytest.mark.parametrize("model", ["ic", "lt"])
     def test_same_seeds_and_gains_as_naive(self, model):
@@ -131,14 +144,17 @@ class TestStateAwareBounds:
         g = apply_weight_model(power_law_graph(1200, 5000, rng_seed=3), WeightModel("wc"))
         res = greedy_celf(g, 20, model=model, hops=2)
         assert res.evaluations < self.PARENT_EVALUATIONS[model]
-        assert res.bound_refreshes > 0
-        assert greedy_celf(g, 20, model=model, hops=1).bound_refreshes == 0
+        assert res.bound_refreshes > 0 and res.probes > 0
+        one_hop = greedy_celf(g, 20, model=model, hops=1)
+        assert one_hop.bound_refreshes == one_hop.probes == 0
 
     def test_ic_bound_reads_own_row_against_state(self, monkeypatch):
         # The bound before the candidate's own edges carried q2[t] / f_old:
         # each of them weighed 1, so the candidate's term was q1[u] W[u].
+        # Probes leave the looser keys to fall out before evaluation, so the
+        # difference shows in the probe count.
         def w_only_bound(state, u):
-            u, ws, q1w, q1w_new = hop_estimator._one_hop(state, u)
+            u, ws, q1w, q1w_new, _, _ = hop_estimator._one_hop(state, u)
             b = state.q2[u] + state.q1[u] * state.out_weight[u] + float((q1w - q1w_new) @ state.out_weight[ws])
             return b + BOUND_SLACK * max(1.0, b)
 
@@ -147,7 +163,7 @@ class TestStateAwareBounds:
         monkeypatch.setattr(selection, "gain_bound", w_only_bound)
         w_only = greedy_celf(g, 50, model="ic", hops=2)
         assert res.seeds == w_only.seeds and res.marginal_gains == w_only.marginal_gains
-        assert res.evaluations < w_only.evaluations
+        assert res.probes < w_only.probes
 
 
 def tied_graph(copies=4, isolated=3):
@@ -200,6 +216,7 @@ class TestFrontierMatchesAllNodeHeap:
                 assert res.marginal_gains == ref.marginal_gains
                 assert res.evaluations == ref.evaluations
                 assert res.bound_refreshes == ref.bound_refreshes
+                assert res.probes == ref.probes
 
     def test_tied_graph_ties_bounds(self):
         g = tied_graph()
