@@ -41,13 +41,13 @@ class ScaleFreeParams:
 
 
 @lru_cache(maxsize=64)
-def _norm(gamma, exponent, truncation):
+def _norm(exponent, truncation):
     """Truncated sum of d^exponent for d = 1..truncation."""
     return float(np.power(np.arange(1, truncation + 1, dtype=np.float64), exponent).sum())
 
 
 @lru_cache(maxsize=16)
-def _pmf(gamma, exponent, truncation):
+def _pmf(exponent, truncation):
     d = np.arange(1, truncation + 1, dtype=np.float64)
     pmf = np.power(d, exponent)
     pmf /= pmf.sum()
@@ -73,7 +73,7 @@ def degree_dist(params, which, d):
     exp = _exponent(params, which)
     if d > params.truncation:
         return 0.0
-    return float(d**exp) / _norm(params.gamma, exp, params.truncation)
+    return float(d**exp) / _norm(exp, params.truncation)
 
 
 def truncation_tail(params, which="p0"):
@@ -81,7 +81,7 @@ def truncation_tail(params, which="p0"):
     exp = _exponent(params, which)
     d0 = float(params.truncation)
     tail = d0 ** (exp + 1.0) / (-exp - 1.0)
-    return tail / _norm(params.gamma, exp, params.truncation)
+    return tail / _norm(exp, params.truncation)
 
 
 def alpha_lower_bound(params):
@@ -123,6 +123,13 @@ def one_hop_expected_lb(params, n, k):
     return (p + 1.0) * k - p * k * k / n
 
 
+def _powers(x, buf):
+    """x^0 .. x^(len(buf) - 1), written into `buf` by a running product."""
+    buf[0] = 1.0
+    buf[1:] = x
+    return np.cumprod(buf, out=buf)
+
+
 def solve_expected_fraction(params):
     """Fixed point of the activated-fraction equations.
 
@@ -133,18 +140,14 @@ def solve_expected_fraction(params):
     r = params.seed_ratio
     p = params.p
     d_max = params.truncation
-    p1 = _pmf(params.gamma, _exponent(params, "p1"), d_max)
-    p0 = _pmf(params.gamma, _exponent(params, "p0"), d_max)
+    p1 = _pmf(_exponent(params, "p1"), d_max)
+    p0 = _pmf(_exponent(params, "p0"), d_max)
     buf = np.empty(d_max)
     varphi = r
     damping = 1.0
     prev_delta = None
     for _ in range(FIXED_POINT_MAX_ITERS):
-        x = 1.0 - p * varphi
-        buf[0] = 1.0
-        buf[1:] = x
-        np.cumprod(buf, out=buf)  # x^0 .. x^(d_max - 1)
-        nxt = 1.0 - (1.0 - r) * float(p1 @ buf)
+        nxt = 1.0 - (1.0 - r) * float(p1 @ _powers(1.0 - p * varphi, buf))
         delta = nxt - varphi
         if abs(delta) < FIXED_POINT_TOL:
             varphi = nxt
@@ -156,10 +159,7 @@ def solve_expected_fraction(params):
     else:
         raise RuntimeError("activated-fraction fixed point did not converge")
     x = 1.0 - p * varphi
-    buf[0] = 1.0
-    buf[1:] = x
-    np.cumprod(buf, out=buf)
-    phi = 1.0 - (1.0 - r) * x * float(p0 @ buf)
+    phi = 1.0 - (1.0 - r) * x * float(p0 @ _powers(x, buf))
     return float(min(max(phi, 0.0), 1.0)), float(min(max(varphi, 0.0), 1.0))
 
 
@@ -168,13 +168,10 @@ def fixed_point_residuals(params, phi, varphi):
     r = params.seed_ratio
     p = params.p
     d_max = params.truncation
-    p1 = _pmf(params.gamma, _exponent(params, "p1"), d_max)
-    p0 = _pmf(params.gamma, _exponent(params, "p0"), d_max)
+    p1 = _pmf(_exponent(params, "p1"), d_max)
+    p0 = _pmf(_exponent(params, "p0"), d_max)
     x = 1.0 - p * varphi
-    powers = np.empty(d_max)
-    powers[0] = 1.0
-    powers[1:] = x
-    np.cumprod(powers, out=powers)
+    powers = _powers(x, np.empty(d_max))
     res1 = (1.0 - varphi) - (1.0 - r) * float(p1 @ powers)
     res2 = (1.0 - phi) - (1.0 - r) * x * float(p0 @ powers)
     return abs(res1), abs(res2)

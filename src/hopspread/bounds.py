@@ -7,8 +7,8 @@ min(1, b(v,x) + sum_w b(v,w) * b(w,x)), is dominated term by term. One
 linear pass per level makes bootstrapping the first greedy pick nearly free.
 
 At h = 2 the bound is 1 + W[v] + sum over out-edges of p(v,w) * W[w], with
-W the total out-probability, which is `hop_estimator.gain_bound` at the
-empty seed set; `gain_bound` re-evaluates it against a nonempty one.
+W the total out-probability, which is the bound of `hop_estimator.probe_gain`
+at the empty seed set; a probe re-evaluates it against a nonempty one.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from .analysis import alpha_surface, format_surface_csv
 from .bounds import upper_bounds
 from .generate import power_law_graph
 from .graph import GraphError, WeightModel, apply_weight_model, load_edge_list
-from .oracle import estimate_spread
+from .oracle import estimate_spread, fresh_seed
 from .selection import degree_discount, greedy_celf, high_degree
 
 ALGORITHMS = ("onehop", "twohop", "twohop-o", "highdegree", "degreediscount")
@@ -33,10 +33,6 @@ class ConfigError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-def _fresh_seed():
-    return int(np.random.SeedSequence().entropy) % (2**63)
 
 
 def _convert(kind, text, flag):
@@ -73,7 +69,7 @@ def _parse_list(text, kind, flag):
 def _weight_model(args, scale_flag="--scale"):
     text = args.model
     if text == "tri":
-        seed = args.rng_seed if args.rng_seed is not None else _fresh_seed()
+        seed = args.rng_seed if args.rng_seed is not None else fresh_seed()
         text = f"tri:{seed}"
     try:
         return WeightModel.parse(text, scale_factor=args.scale), text
@@ -126,7 +122,6 @@ def cmd_select(args):
         "spread": result.spread,
         "elapsed_seconds": result.elapsed,
         "evaluations": result.evaluations,
-        "bound_refreshes": result.bound_refreshes,
         "probes": result.probes,
         "config": {
             "graph": args.graph,
@@ -201,7 +196,7 @@ def cmd_evaluate(args):
     g, model_text = _load_weighted(args)
     original = _read_seeds_file(args.seeds_file)
     seeds = g.to_internal(original)
-    rng_seed = args.rng_seed if args.rng_seed is not None else _fresh_seed()
+    rng_seed = args.rng_seed if args.rng_seed is not None else fresh_seed()
     est = estimate_spread(
         g,
         seeds,
@@ -277,7 +272,7 @@ def cmd_bench(args):
             raise ConfigError(f"unknown algorithm {a!r}")
     if (args.graph is None) == (args.synthetic is None):
         raise ConfigError("bench needs exactly one of --graph or --synthetic")
-    rng_seed = args.rng_seed if args.rng_seed is not None else _fresh_seed()
+    rng_seed = args.rng_seed if args.rng_seed is not None else fresh_seed()
     if args.synthetic:
         parts = args.synthetic.split(",")
         if len(parts) != 3:
@@ -289,7 +284,7 @@ def cmd_bench(args):
             raise ConfigError(f"--synthetic {args.synthetic}: {e}") from None
     else:
         base = load_edge_list(args.graph, num_nodes=args.num_nodes)
-    lines = ["algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds,bound_refreshes,probes"]
+    lines = ["algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds,probes"]
     for scale in scales:
         model, _ = _weight_model(argparse.Namespace(model=args.model, rng_seed=rng_seed, scale=scale), "--scales")
         g = apply_weight_model(base, model)
@@ -310,7 +305,7 @@ def cmd_bench(args):
                 seed_text = ";".join(str(int(g.original_ids[v])) for v in result.seeds)
                 lines.append(
                     f"{result.algorithm},{k},{scale:.10g},{seconds:.6f},{result.evaluations},{est.mean:.10g},{seed_text},"
-                    f"{result.bound_refreshes},{result.probes}"
+                    f"{result.probes}"
                 )
     _emit(args, "\n".join(lines) + "\n")
     return 0

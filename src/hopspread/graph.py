@@ -370,14 +370,18 @@ for _touching, _allowed in enumerate(["ss sn sd se dn de en gn ns", "sd dn de eg
 
 def _triple_tokens(window):
     """How many values `window` holds if its lines are all "<digits>" sep
-    "<digits>" sep "<probability>\\n", with sep one ' ' or one tab throughout
-    and each probability matching (\\d+\\.?\\d*|\\.\\d+)([eE][+-]?\\d+)?, else None.
+    "<digits>" sep "<probability>" eol, with sep one ' ' or one tab throughout,
+    eol "\\n" or "\\r\\n" and each probability matching
+    (\\d+\\.?\\d*|\\.\\d+)([eE][+-]?\\d+)?, else None.
 
-    That holds when the window starts with a digit, its non-digit bytes less
-    '.', 'e', 'E', '+' and '-' repeat sep sep "\\n", each non-digit byte and
-    the next are in `_PAIRS`, and no '.' touches a non-digit on both sides.
-    `np.fromstring` itself reads "1e" or "1.5.3" as a prefix without error.
+    That holds when, with each "\\r\\n" read as "\\n", the window starts with
+    a digit, its non-digit bytes less '.', 'e', 'E', '+' and '-' repeat sep
+    sep "\\n", each non-digit byte and the next are in `_PAIRS`, and no '.'
+    touches a non-digit on both sides; a lone "\\r" fails the repeat.
+    `np.fromstring` reads "\\r\\n" as it reads "\\n", but itself reads "1e"
+    or "1.5.3" as a prefix without error.
     """
+    window = window.replace(b"\r\n", b"\n")
     b = np.frombuffer(window, dtype=np.uint8)
     at = np.flatnonzero(b - np.uint8(0x30) > 9)  # the non-digit bytes
     rest = b[at].tobytes()

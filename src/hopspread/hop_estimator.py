@@ -34,32 +34,23 @@ every platform and sort. `probe_gain` returns the probe with a linear
 bound summed from its edges: q2[u] plus, over C's edges, q2[t] * (1 -
 f_new / f_old) under the cascade model (1 - prod c <= sum (1 - c)) or
 min(q2[t], p * (q1[c] - q1'[c])) under the threshold model (min(a, sum c)
-<= sum min(a, c)). This is `gain_bound` with its weight r = q2[t] / f_old
-read on every edge, not only on u's own, so gain <= probe <= `gain_bound`.
-A selection loop can probe a candidate and pass the probe to `eval_gain`
+<= sum min(a, c)). At the empty seed set this is `upper_bounds(g, 2)`. A
+selection loop can probe a candidate and pass the probe to `eval_gain`
 only if its bound comes out on top. Neither step writes the state, and the
 state has no per-edge array. Each update moves q1 and q2 by one rounding
 step per changed edge, so the state stays within rounding of the closed
 form of its seed set and needs no periodic recomputation.
-
-`gain_bound` is a cheaper two-hop stand-in for a probe: it reads the
-candidate's out-row and each out-neighbor's total out-probability (kept
-per node in the state), so it costs O(out-degree) where a probe reads
-every out-row of C. Under the cascade model each of the candidate's own
-edges also reads its target's q2 and weighs its rise by q2[t] / f_old <=
-1, the weight the exact product update gives it; the out-neighbors' edges
-weigh 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._segments import gather_rows, segment_sum
+from ._segments import gather_rows
 from .graph import GraphError, validate_lt
 
-# Relative slack on `gain_bound` and probe bounds: a computed gain can sit
-# an ulp above the exact-arithmetic bound.
+# Relative slack on probe bounds: a computed gain can sit an ulp above the
+# exact-arithmetic bound.
 BOUND_SLACK = 1e-9
 
 
@@ -117,10 +108,8 @@ class HopState:
     """Seed set plus per-node survival complements for 1 or 2 hops.
 
     q1[v] = P[v not active within one hop], q2[v] likewise for two hops
-    (only present when hops == 2). Seeds hold q = 0. With two hops,
-    out_weight[v] is the sum of v's out-edge probabilities, read by
-    `gain_bound`. Every array is per node. `sigma` tracks the running
-    hop-limited spread.
+    (only present when hops == 2). Seeds hold q = 0. Every array is per
+    node. `sigma` tracks the running hop-limited spread.
     """
 
     __slots__ = (
@@ -131,7 +120,6 @@ class HopState:
         "seeds",
         "q1",
         "q2",
-        "out_weight",
         "sigma",
         "version",
     )
@@ -145,7 +133,6 @@ class HopState:
         self.seeds = []
         self.q1 = np.ones(n)
         self.q2 = np.ones(n) if hops == 2 else None
-        self.out_weight = segment_sum(graph.out_prob, graph.out_indptr) if hops == 2 else None
         self.sigma = 0.0
         self.version = 0
 
@@ -171,23 +158,6 @@ def init_state(g, model="ic", hops=2):
     return HopState(g, model, hops)
 
 
-def _one_hop(s, u):
-    """Candidate `u`'s non-seed out-neighbors ws, their one-hop survival,
-    their would-be one-hop survival once u is a seed, and u's out-row."""
-    u = int(u)
-    if not 0 <= u < s.graph.node_count:
-        raise ValueError(f"node id {u} out of range")
-    if s.seed_mask[u]:
-        raise ValueError(f"node {u} is already a seed")
-    nbrs, ps = s.graph.out_edges(u)
-    keep = ~s.seed_mask.take(nbrs)
-    ws = nbrs[keep]
-    q1w = s.q1.take(ws)
-    # LT in-weights may sum to 1 + LT_WEIGHT_TOLERANCE, so only q1 - b can leave [0, 1].
-    q1w_new = q1w * (1.0 - ps[keep]) if s.model == "ic" else np.maximum(q1w - ps[keep], 0.0)
-    return u, ws, q1w, q1w_new, nbrs, ps
-
-
 def _check_current(state, item, kind):
     """Raise unless `item` (a report or a probe) was made against `state` at its current version."""
     if item.state is not state:
@@ -199,46 +169,24 @@ def _check_current(state, item, kind):
         )
 
 
-def gain_bound(state, u):
-    """Upper bound on the two-hop gain of adding `u`, in O(out-degree of u).
-
-    A fall of q1 at node c raises the transmission of each out-edge (c, t)
-    by p * (fall), and t's two-hop survival q2[t] falls by at most the sum
-    over those edges of the rise times a weight r in [0, 1]. LT: r = 1 (the
-    subtracted sum, which clipping only shrinks). IC: r = q2[t] / f_old with
-    f_old = 1 - p * (1 - q1[c]), since telescoping the product drops q2[t]
-    by at most q2[t] * (1 - f_new / f_old) per edge; a non-seed t's q2 has
-    f_old as a factor, so r <= 1, and a seed's q2 is 0.
-
-    Adding u lowers q1 at u to 0 and at each w in ws to q1'[w]. The bound
-    reads r on u's own IC edges and takes r = 1 on every other edge:
-    q2[u] + q1[u] * (sum of p * r over u's out-edges) + the sum over ws of
-    (q1[w] - q1'[w]) W[w], W being each node's total out-probability. An
-    edge with f_old = 0 has already made q2[t] exactly 0 (see `eval_gain`),
-    so r = 1 there is safe. At the empty seed set every r is 1 and this is
-    `upper_bounds(g, 2)`. BOUND_SLACK covers the rounding of the gain's own
-    evaluation. `probe_gain` reads r on every edge of C.
-    """
-    s = state
-    u, ws, q1w, q1w_new, nbrs, ps = _one_hop(s, u)
-    q1u = s.q1.item(u)
-    if s.model == "ic":
-        f_old = 1.0 - ps * (1.0 - q1u)
-        r = np.divide(s.q2.take(nbrs), f_old, out=np.ones_like(f_old), where=f_old > 0.0)
-        own = float(ps @ r)
-    else:
-        own = s.out_weight.item(u)
-    b = s.q2.item(u) + q1u * own + float((q1w - q1w_new) @ s.out_weight.take(ws))
-    return b + BOUND_SLACK * max(1.0, b)
-
-
 def _gather(s, u):
     """A probe of `u` without its bound: C's out-edge targets and changes.
 
     With one hop the probe is the evaluation, and its bound is the gain.
     """
     g, q1 = s.graph, s.q1
-    u, ws, q1w, q1w_new, _, _ = _one_hop(s, u)
+    u = int(u)
+    if not 0 <= u < g.node_count:
+        raise ValueError(f"node id {u} out of range")
+    if s.seed_mask[u]:
+        raise ValueError(f"node {u} is already a seed")
+    # u's non-seed out-neighbors ws, their one-hop survival and its value once u is a seed.
+    nbrs, ps = g.out_edges(u)
+    keep = ~s.seed_mask.take(nbrs)
+    ws = nbrs[keep]
+    q1w = q1.take(ws)
+    # LT in-weights may sum to 1 + LT_WEIGHT_TOLERANCE, so only q1 - b can leave [0, 1].
+    q1w_new = q1w * (1.0 - ps[keep]) if s.model == "ic" else np.maximum(q1w - ps[keep], 0.0)
     q1_nodes = np.concatenate(([u], ws))
     q1_values = np.concatenate(([0.0], q1w_new))
     if s.hops == 1:
@@ -266,9 +214,10 @@ def probe_gain(state, u):
 
     The bound is q2[u] plus, over C's out-edges (c, t), q2[t] * (1 - f_new /
     f_old) under IC or min(q2[t], p * (q1[c] - q1'[c])) under LT, with
-    BOUND_SLACK on top. It lies between the gain and `gain_bound`, and at
-    the empty seed set it is `upper_bounds(g, 2)`. Pass the probe to
-    `eval_gain` before the next commit.
+    BOUND_SLACK on top. An IC edge with f_old = 0 has already made q2[t]
+    exactly 0, so it adds nothing. At the empty seed set the bound is
+    `upper_bounds(g, 2)`. Pass the probe to `eval_gain` before the next
+    commit.
     """
     s = state
     probe = _gather(s, u)

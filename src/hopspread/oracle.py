@@ -44,6 +44,11 @@ class SpreadEstimate:
     hop_limit: int | None
 
 
+def fresh_seed():
+    """A seed from OS entropy, for runs given none."""
+    return int(np.random.SeedSequence().entropy) % (2**63)
+
+
 def _check_seeds(g, seeds):
     """Sorted unique int64 ids; anything but an integer within int64 is an error, not cast."""
     ids = [s.item() if isinstance(s, np.generic) else s for s in seeds]
@@ -141,7 +146,7 @@ def estimate_spread(g, seeds, model="ic", hop_limit=None, n_sims=10000, rng_seed
         raise ValueError(f"unknown diffusion model {model!r}")
     seed_ids = _check_seeds(g, seeds)
     if rng_seed is None:
-        rng_seed = int(np.random.SeedSequence().entropy) % (2**63)
+        rng_seed = fresh_seed()
     if workers <= 1:
         parts = [_sim_chunk(g, seed_ids, model, hop_limit, rng_seed, 0, n_sims)]
     else:
@@ -170,7 +175,7 @@ def estimate_hop_profile(g, seeds, model="ic", n_sims=1000, rng_seed=None):
         raise ValueError("n_sims must be >= 1")
     seed_ids = _check_seeds(g, seeds)
     if rng_seed is None:
-        rng_seed = int(np.random.SeedSequence().entropy) % (2**63)
+        rng_seed = fresh_seed()
     profiles = _sim_chunk(g, seed_ids, model, None, rng_seed, 0, n_sims)
     depth = max(len(p) for p in profiles)
     table = np.empty((n_sims, depth))

@@ -2,29 +2,27 @@
 full-evaluation greedy for cross-checking, and the degree heuristics.
 
 The lazy greedy pops (-key, node, stamp) entries smallest first, where
-stamp = 3 * round + level, and each key is an upper bound on the node's
-current marginal gain. A key is one of four kinds:
+stamp = 2 * round + level, and each key is an upper bound on the node's
+current marginal gain. A key is one of three kinds:
 
 - a key from an earlier round: the closed-form single-seed bound it
   started with, or a bound or exact gain computed against an older seed
-  set. With two hops a pop of such a key is re-keyed with
-  `gain_bound` against the current seed set, in O(out-degree), and pushed
-  back at level 0. With one hop it is evaluated at once, since a one-hop
-  evaluation costs what a bound would.
-- this round's refreshed bound (level 0): a pop gets `probe_gain`, which
-  gathers the out-edges of the node and its out-neighbors and sums a
+  set. With two hops a pop gets `probe_gain` against the current seed set,
+  which gathers the out-edges of the node and its out-neighbors and sums a
   linear bound from them, and the node goes back with that bound at
-  level 1. The probe waits in a dict that each commit empties.
-- this round's bound to evaluate (level 1): a probe bound, or in round 0 a
+  level 0. The probe waits in a dict that each commit empties. With one
+  hop it is evaluated at once, since a one-hop evaluation costs what a
+  probe would.
+- this round's bound to evaluate (level 0): a probe bound, or in round 0 a
   bootstrap key. A pop gets a full `eval_gain`, from the waiting probe if
-  there is one, and the node goes back with its exact gain at level 2.
-- this round's exact gain (level 2): since every other key bounds its
+  there is one, and the node goes back with its exact gain at level 1.
+- this round's exact gain (level 1): since every other key bounds its
   node's gain, a pop is the round's best report, and it is committed as
   is.
 
 A probe costs the gather of an evaluation but not its grouping sort, so it
 spares the sort for the candidates whose probe bound falls below the
-round's best gain. Round 0 does not probe: its keys are level 1 from the
+round's best gain. Round 0 does not probe: its keys are level 0 from the
 start, since a probe of a round-0 node would only recompute its bootstrap
 bound (the probe bound is `upper_bounds(g, 2)` at the empty seed set), and
 with `bootstrap="none"` it would only add a pass to the full first pass.
@@ -34,8 +32,8 @@ Round 0's keys are the closed-form single-seed bounds
 removes the full first pass, or infinite bounds (`bootstrap="none"`),
 which evaluates every node once. They are sorted once into pop order, a
 frontier walked by a pointer, and the heap holds only the frontier's head
-and the nodes already taken from it, re-keyed, probed or evaluated. Those
-carry stamps other than 1, so a popped stamp 1 is the frontier's head. A
+and the nodes already taken from it, probed or evaluated. Those carry
+stamps other than 0, so a popped stamp 0 is the frontier's head. A
 heap pop is thus the tuple a heap of every node would pop, so the pop
 order, and with it every seed, gain and count, is unchanged. Bounds carry
 the relative slack `BOUND_SLACK`, so no two-hop key sits below the gain
@@ -57,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import upper_bounds
-from .hop_estimator import BOUND_SLACK, commit, eval_gain, gain_bound, init_state, probe_gain
+from .hop_estimator import BOUND_SLACK, commit, eval_gain, init_state, probe_gain
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,6 @@ class SeedResult:
     elapsed: float
     evaluations: int
     spread: float = 0.0
-    bound_refreshes: int = 0
     probes: int = 0
     hops: int | None = None
     model: str | None = None
@@ -101,25 +98,25 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
         ub = upper_bounds(g, hops).values
         neg = -(ub + BOUND_SLACK * np.maximum(ub, 1.0))
     # The largest key pops first, ties toward the smaller id (the sort is
-    # stable). Round 0's keys are level 1 (stamp 1), and taken nodes go back
-    # with other stamps, so a popped stamp 1 is the frontier's head, whose
+    # stable). Round 0's keys are level 0 (stamp 0), and taken nodes go back
+    # with later stamps, so a popped stamp 0 is the frontier's head, whose
     # successor then joins the heap.
     order = np.argsort(neg, kind="stable")
-    heap = [(float(neg[order[0]]), int(order[0]), 1)]
+    heap = [(float(neg[order[0]]), int(order[0]), 0)]
     taken = 1
-    evaluations = bound_refreshes = probes = 0
+    evaluations = probes = 0
     waiting = {}
     best = None
     seeds = []
     gains = []
     while len(seeds) < k:
         _, node, stamp = heapq.heappop(heap)
-        if stamp == 1 and taken < n:
+        if stamp == 0 and taken < n:
             v = int(order[taken])
-            heapq.heappush(heap, (float(neg[v]), v, 1))
+            heapq.heappush(heap, (float(neg[v]), v, 0))
             taken += 1
-        now = 3 * len(seeds)
-        if stamp == now + 2:
+        now = 2 * len(seeds)
+        if stamp == now + 1:
             # Every other key bounds its node's gain, so this round's exact
             # pop is the round's best report.
             commit(state, best)
@@ -128,18 +125,15 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
             best = None
             waiting.clear()
         elif stamp < now and hops == 2:
-            heapq.heappush(heap, (-gain_bound(state, node), node, now))
-            bound_refreshes += 1
-        elif stamp == now:
             probe = waiting[node] = probe_gain(state, node)
             probes += 1
-            heapq.heappush(heap, (-probe.bound, node, now + 1))
+            heapq.heappush(heap, (-probe.bound, node, now))
         else:
             report = eval_gain(state, waiting.pop(node, node))
             evaluations += 1
             if best is None or (report.gain, -node) > (best.gain, -best.candidate):
                 best = report
-            heapq.heappush(heap, (-report.gain, node, now + 2))
+            heapq.heappush(heap, (-report.gain, node, now + 1))
     elapsed = time.perf_counter() - t0
     name = ("twohop" if hops == 2 else "onehop") + ("-o" if bootstrap == "none" else "")
     return SeedResult(
@@ -151,7 +145,6 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
         spread=state.spread(),
         hops=hops,
         model=model,
-        bound_refreshes=bound_refreshes,
         probes=probes,
     )
 

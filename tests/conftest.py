@@ -14,7 +14,7 @@ import pytest
 
 from hopspread.bounds import upper_bounds
 from hopspread.graph import Graph
-from hopspread.hop_estimator import BOUND_SLACK, commit, eval_gain, gain_bound, init_state, probe_gain
+from hopspread.hop_estimator import BOUND_SLACK, commit, eval_gain, init_state, probe_gain
 from hopspread.selection import SeedResult, _check_k
 
 
@@ -165,9 +165,9 @@ def reference_cascade(g, seed_ids, model, hop_limit, rng, record_levels=False):
 
 def reference_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
     """`greedy_celf` as it was before the sorted frontier, with the same
-    refresh, probe and evaluation tiers: every node starts as a Python tuple
-    in one all-node heap. The frontier must pop in the same order, so it
-    must give the same seeds, gains and counts.
+    probe and evaluation tiers: every node starts as a Python tuple in one
+    all-node heap. The frontier must pop in the same order, so it must give
+    the same seeds, gains and counts.
 
     Lazy greedy selection of k seeds under hop-limited influence.
 
@@ -187,18 +187,18 @@ def reference_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
         ub = upper_bounds(g, hops).values
         bounds = (ub + BOUND_SLACK * np.maximum(ub, 1.0)).tolist()
     # The largest key pops first, ties toward the smaller id; the bootstrap
-    # keys are round 0's bounds to evaluate (level 1).
-    heap = [(-b, v, 1) for v, b in enumerate(bounds)]
+    # keys are round 0's bounds to evaluate (level 0).
+    heap = [(-b, v, 0) for v, b in enumerate(bounds)]
     heapq.heapify(heap)
-    evaluations = bound_refreshes = probes = 0
+    evaluations = probes = 0
     waiting = {}
     best = None
     seeds = []
     gains = []
     while len(seeds) < k:
         _, node, stamp = heapq.heappop(heap)
-        now = 3 * len(seeds)
-        if stamp == now + 2:
+        now = 2 * len(seeds)
+        if stamp == now + 1:
             # Every other key bounds its node's gain, so this round's exact
             # pop is the round's best report.
             commit(state, best)
@@ -207,18 +207,15 @@ def reference_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
             best = None
             waiting.clear()
         elif stamp < now and hops == 2:
-            heapq.heappush(heap, (-gain_bound(state, node), node, now))
-            bound_refreshes += 1
-        elif stamp == now:
             probe = waiting[node] = probe_gain(state, node)
             probes += 1
-            heapq.heappush(heap, (-probe.bound, node, now + 1))
+            heapq.heappush(heap, (-probe.bound, node, now))
         else:
             report = eval_gain(state, waiting.pop(node, node))
             evaluations += 1
             if best is None or (report.gain, -node) > (best.gain, -best.candidate):
                 best = report
-            heapq.heappush(heap, (-report.gain, node, now + 2))
+            heapq.heappush(heap, (-report.gain, node, now + 1))
     elapsed = time.perf_counter() - t0
     name = ("twohop" if hops == 2 else "onehop") + ("-o" if bootstrap == "none" else "")
     return SeedResult(
@@ -230,7 +227,6 @@ def reference_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
         spread=state.spread(),
         hops=hops,
         model=model,
-        bound_refreshes=bound_refreshes,
         probes=probes,
     )
 

@@ -37,22 +37,21 @@ class TestSelect:
         assert payload["marginal_gains"][0] == pytest.approx(1.75, abs=1e-12)
         assert payload["algorithm"] == "twohop"
 
-    def test_reports_evaluations_and_bound_refreshes(self, tmp_path):
+    def test_reports_evaluations_and_probes(self, tmp_path):
         # Two chains. After 0 (0 -> 1 -> 2) is picked, the stale round-0 keys
-        # of 1 and 3 (3 -> 4) pop next: two hops re-bound both (1 falls to
-        # 0.75), probe only 3 (its probe bound, 1.5, still leads) and then
-        # evaluate it. One hop evaluates every pop: 1 and 3 already in round
-        # 0 (their bounds, 1.5 plus slack, outrank 0's exact 1.5), then both
-        # again in round 1.
+        # of 1 and 3 (3 -> 4) pop next: two hops probe both (1 falls to 0.75)
+        # and evaluate only 3 (its probe bound, 1.5, still leads). One hop
+        # evaluates every pop: 1 and 3 already in round 0 (their bounds, 1.5
+        # plus slack, outrank 0's exact 1.5), then both again in round 1.
         path = tmp_path / "chains.txt"
         path.write_text("0 1 0.5\n1 2 0.5\n3 4 0.5\n")
         out = tmp_path / "sel.json"
-        for algo, counts in (("twohop", (2, 2, 1)), ("onehop", (5, 0, 0))):
+        for algo, counts in (("twohop", (2, 2)), ("onehop", (5, 0))):
             assert main(["select", "--graph", str(path), "--model", "file", "--algo", algo,
                          "--k", "2", "--out", str(out)]) == 0
             payload = read_json(out)
             assert payload["seeds"] == [0, 3]
-            assert (payload["evaluations"], payload["bound_refreshes"], payload["probes"]) == counts
+            assert (payload["evaluations"], payload["probes"]) == counts
 
     def test_twohop_o_same_seeds(self, chain_file, tmp_path):
         out = tmp_path / "sel.json"
@@ -330,7 +329,7 @@ class TestBench:
                      "--ks", "2,3", "--scales", "1.0,1.5", "--n-sims", "30",
                      "--rng-seed", "5", "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds,bound_refreshes,probes"
+        assert lines[0] == "algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds,probes"
         assert len(lines) == 1 + 2 * 2 * 2
 
     @staticmethod
@@ -347,7 +346,7 @@ class TestBench:
         for algo, bootstrap in (("twohop", "upper_bounds"), ("twohop-o", "none")):
             result = greedy_celf(g, 5, model=diffusion, bootstrap=bootstrap)
             row = by_algo[algo]
-            assert (int(row[4]), int(row[7]), int(row[8])) == (result.evaluations, result.bound_refreshes, result.probes)
+            assert (int(row[4]), int(row[7])) == (result.evaluations, result.probes)
 
     def test_twohop_variants_agree_with_fewer_evaluations(self, tmp_path):
         self.assert_twohop_variants_agree(tmp_path, "ic")

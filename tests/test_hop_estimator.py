@@ -24,7 +24,6 @@ from hopspread.hop_estimator import (
     StaleReportError,
     commit,
     eval_gain,
-    gain_bound,
     init_state,
     probe_gain,
     spread,
@@ -431,8 +430,6 @@ class TestStateIsItsSeedSet:
         sigma, version = s.sigma, s.version
         for u in np.flatnonzero(~s.seed_mask):
             eval_gain(s, probe_gain(s, int(u)))
-            if hops == 2:
-                gain_bound(s, int(u))
         assert (s.sigma, s.version, len(s.seeds)) == (sigma, version, 20)
 
     @pytest.mark.parametrize("model", ["ic", "lt"])
@@ -545,11 +542,13 @@ class TestAdversarialDrift:
             self.assert_tracks_reference(g, "lt", seeds)
 
 
-class TestGainBound:
-    """`gain_bound` dominates the two-hop gain at every seed set."""
+class TestProbe:
+    """`probe_gain` bounds the gain from above, and `eval_gain` finishes a
+    probe into the report it would give a node."""
 
     @staticmethod
     def graphs(rng):
+        """IC and LT graphs with sinks, p = 1 edges and 2-cycles."""
         for _ in range(12):
             yield "ic", random_ic_graph(rng, n_max=25, m_max=60, n_min=5, p_one_frac=0.2)
             yield "lt", random_lt_graph(rng, n_max=25, m_max=60, n_min=5, p_one_frac=0.2)
@@ -557,57 +556,6 @@ class TestGainBound:
             g = random_graph_with_cycles(rng, n=n)
             yield "ic", g
             yield "lt", lt_admissible(g)
-
-    def test_bound_dominates_gain_after_every_commit(self):
-        rng = np.random.default_rng(77)
-        sinks = 0
-        for model, g in self.graphs(rng):
-            sinks += int((g.out_degrees() == 0).sum())
-            s = init_state(g, model, 2)
-            src = np.repeat(np.arange(g.node_count), g.out_degrees())
-            for v in rng.permutation(g.node_count)[: g.node_count - 1]:
-                commit(s, eval_gain(s, int(v)))
-                for u in np.flatnonzero(~s.seed_mask):
-                    assert eval_gain(s, int(u)).gain <= gain_bound(s, int(u))
-                if model == "ic":
-                    # The IC bound's premise: a non-seed target's q2 has each
-                    # in-edge's f = 1 - p (1 - q1[source]) as a factor, up to
-                    # the rounding of the incremental updates.
-                    f = 1.0 - g.out_prob * (1.0 - s.q1[src])
-                    into = ~s.seed_mask[g.out_dst]
-                    assert (s.q2[g.out_dst][into] <= f[into] * (1.0 + 1e-12)).all()
-        assert sinks > 0
-
-    def test_ic_edge_with_zero_f_from_a_certain_node(self):
-        # Seed 0 activates 1 with p = 1, so q1[1] = 0 and 1's p = 1 edge to 2
-        # has f = 0: the bound must skip 0 / 0, not turn it into a nan.
-        g = Graph(5, [0, 1, 1, 2], [1, 2, 3, 4], [1.0, 1.0, 0.5, 0.5])
-        s = init_state(g, "ic", 2)
-        commit(s, eval_gain(s, 0))
-        assert s.q1[1] == 0.0 and s.q2[2] == 0.0
-        with np.errstate(all="raise"):
-            b = gain_bound(s, 1)
-        assert np.isfinite(b) and eval_gain(s, 1).gain <= b
-
-    def test_empty_seed_set_bound_is_upper_bounds(self):
-        rng = np.random.default_rng(78)
-        for model, g in self.graphs(rng):
-            s = init_state(g, model, 2)
-            bound = np.array([gain_bound(s, u) for u in range(g.node_count)])
-            # At S = {} every bound is at least 1, so the slack is BOUND_SLACK * bound.
-            np.testing.assert_allclose(bound / (1.0 + BOUND_SLACK), upper_bounds(g, 2).values, rtol=1e-12, atol=0)
-
-    def test_rejects_seed_and_out_of_range(self, chain_graph):
-        s = init_state(chain_graph, "ic", 2)
-        commit(s, eval_gain(s, 0))
-        for bad in (0, -1, 3):
-            with pytest.raises(ValueError):
-                gain_bound(s, bad)
-
-
-class TestProbe:
-    """`probe_gain` bounds the gain between the evaluation and `gain_bound`,
-    and `eval_gain` finishes a probe into the report it would give a node."""
 
     @staticmethod
     def states(rng, hops=2):
@@ -623,17 +571,37 @@ class TestProbe:
                         commit(s, eval_gain(s, v))
                     yield s
 
-    def test_gain_within_probe_within_gain_bound(self):
-        rng = np.random.default_rng(91)
-        sizes = set()
-        for s in self.states(rng):
-            sizes.add(len(s.seeds))
-            for u in np.flatnonzero(~s.seed_mask):
-                probe = probe_gain(s, int(u))
-                assert eval_gain(s, int(u)).gain <= probe.bound
-                # Equal at the empty seed set, where only rounding separates them.
-                assert probe.bound <= gain_bound(s, int(u)) * (1.0 + 1e-12)
-        assert len(sizes) >= 5
+    def test_bound_dominates_gain_after_every_commit(self):
+        rng = np.random.default_rng(77)
+        sinks = 0
+        for model, g in self.graphs(rng):
+            sinks += int((g.out_degrees() == 0).sum())
+            s = init_state(g, model, 2)
+            src = np.repeat(np.arange(g.node_count), g.out_degrees())
+            for v in rng.permutation(g.node_count)[: g.node_count - 1]:
+                commit(s, eval_gain(s, int(v)))
+                for u in np.flatnonzero(~s.seed_mask):
+                    assert eval_gain(s, int(u)).gain <= probe_gain(s, int(u)).bound
+                if model == "ic":
+                    # The premise of the f_old = 0 case in probes and
+                    # evaluations: a non-seed target's q2 has each in-edge's
+                    # f = 1 - p (1 - q1[source]) as a factor, up to the
+                    # rounding of the incremental updates.
+                    f = 1.0 - g.out_prob * (1.0 - s.q1[src])
+                    into = ~s.seed_mask[g.out_dst]
+                    assert (s.q2[g.out_dst][into] <= f[into] * (1.0 + 1e-12)).all()
+        assert sinks > 0
+
+    def test_ic_edge_with_zero_f_from_a_certain_node(self):
+        # Seed 0 activates 1 with p = 1, so q1[1] = 0 and 1's p = 1 edge to 2
+        # has f = 0: the bound must skip 0 / 0, not turn it into a nan.
+        g = Graph(5, [0, 1, 1, 2], [1, 2, 3, 4], [1.0, 1.0, 0.5, 0.5])
+        s = init_state(g, "ic", 2)
+        commit(s, eval_gain(s, 0))
+        assert s.q1[1] == 0.0 and s.q2[2] == 0.0
+        with np.errstate(all="raise"):
+            b = probe_gain(s, 1).bound
+        assert np.isfinite(b) and eval_gain(s, 1).gain <= b
 
     @pytest.mark.parametrize("model", ["ic", "lt"])
     def test_empty_seed_set_probe_is_upper_bounds(self, model):

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import in_edges, lt_admissible, random_ic_graph, random_lt_graph, reference_celf
-from hopspread import hop_estimator, selection
+from hopspread import selection
 from hopspread.bounds import upper_bounds
 from hopspread.graph import Graph, WeightModel, apply_weight_model
 from hopspread.generate import power_law_graph
-from hopspread.hop_estimator import BOUND_SLACK
 from hopspread.oracle import ExactSpreadTable
 from hopspread.selection import degree_discount, greedy_celf, greedy_naive, high_degree
 
@@ -83,7 +82,7 @@ class TestCelfMatchesNaive:
 
 
 class TestStateAwareBounds:
-    """Two-hop CELF re-bounds stale keys with `gain_bound` before evaluating."""
+    """Two-hop CELF probes stale keys against the current seed set before evaluating."""
 
     # Two-hop IC/LT evaluations on the pinned graph below, k=20, before stale
     # keys were re-bounded (every stale pop was fully evaluated).
@@ -94,7 +93,7 @@ class TestStateAwareBounds:
         g = apply_weight_model(power_law_graph(20000, 200000), WeightModel("wc"))
         popped = {}
         pairs = []
-        probe_pairs = []
+        probe_stamps = []
         pops = []
         heappop, eval_gain, probe_gain = selection.heapq.heappop, selection.eval_gain, selection.probe_gain
 
@@ -103,7 +102,7 @@ class TestStateAwareBounds:
         def recording_heappop(heap):
             entry = heappop(heap)
             popped[entry[1]] = (-entry[0], entry[2])
-            pops.append(entry[2] == 1)
+            pops.append(entry[2] == 0)
             return entry
 
         def recording_eval_gain(state, node):
@@ -112,22 +111,22 @@ class TestStateAwareBounds:
             return report
 
         def recording_probe_gain(state, node):
-            probe = probe_gain(state, node)
-            probe_pairs.append((probe.bound, popped[node][0]))
-            return probe
+            probe_stamps.append((popped[node][1], 2 * len(state.seeds)))
+            return probe_gain(state, node)
 
         monkeypatch.setattr(selection.heapq, "heappop", recording_heappop)
         monkeypatch.setattr(selection, "eval_gain", recording_eval_gain)
         monkeypatch.setattr(selection, "probe_gain", recording_probe_gain)
         res = greedy_celf(g, 100, model=model, hops=2)
-        assert len(pops) == res.evaluations + res.bound_refreshes + res.probes + len(res.seeds)
+        assert len(pops) == res.evaluations + res.probes + len(res.seeds)
         assert any(pops) and not all(pops)
-        assert len(pairs) == res.evaluations and len(probe_pairs) == res.probes > 0
+        assert len(pairs) == res.evaluations and len(probe_stamps) == res.probes > 0
         assert all(gain <= key for gain, key, _ in pairs)
-        # Keys at stamp 3 * round + 1 with round >= 1 are probe bounds.
+        # Keys at stamp 2 * round with round >= 1 are probe bounds.
         assert any(stamp > 1 for _, _, stamp in pairs)
-        # A probe bound is gain_bound with r read on more edges, up to rounding.
-        assert all(bound <= key * (1.0 + 1e-12) for bound, key in probe_pairs)
+        # Only keys of earlier rounds are probed, frontier keys among them.
+        assert all(stamp < now for stamp, now in probe_stamps)
+        assert any(stamp == 0 for stamp, _ in probe_stamps)
 
     @pytest.mark.parametrize("model", ["ic", "lt"])
     def test_same_seeds_and_gains_as_naive(self, model):
@@ -144,26 +143,20 @@ class TestStateAwareBounds:
         g = apply_weight_model(power_law_graph(1200, 5000, rng_seed=3), WeightModel("wc"))
         res = greedy_celf(g, 20, model=model, hops=2)
         assert res.evaluations < self.PARENT_EVALUATIONS[model]
-        assert res.bound_refreshes > 0 and res.probes > 0
+        assert res.probes > 0
         one_hop = greedy_celf(g, 20, model=model, hops=1)
-        assert one_hop.bound_refreshes == one_hop.probes == 0
+        assert one_hop.probes == 0
 
-    def test_ic_bound_reads_own_row_against_state(self, monkeypatch):
-        # The bound before the candidate's own edges carried q2[t] / f_old:
-        # each of them weighed 1, so the candidate's term was q1[u] W[u].
-        # Probes leave the looser keys to fall out before evaluation, so the
-        # difference shows in the probe count.
-        def w_only_bound(state, u):
-            u, ws, q1w, q1w_new, _, _ = hop_estimator._one_hop(state, u)
-            b = state.q2[u] + state.q1[u] * state.out_weight[u] + float((q1w - q1w_new) @ state.out_weight[ws])
-            return b + BOUND_SLACK * max(1.0, b)
+    # Full evaluations of `power_law_graph(2000, 20000, rng_seed=7)` with WC
+    # weights, k=50, two hops: (bootstrap="upper_bounds", bootstrap="none").
+    EVALUATIONS = {"ic": (53, 2052), "lt": (50, 2049)}
 
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    @pytest.mark.parametrize("bootstrap", ["upper_bounds", "none"])
+    def test_pinned_evaluation_counts(self, model, bootstrap):
         g = apply_weight_model(power_law_graph(2000, 20000, rng_seed=7), WeightModel("wc"))
-        res = greedy_celf(g, 50, model="ic", hops=2)
-        monkeypatch.setattr(selection, "gain_bound", w_only_bound)
-        w_only = greedy_celf(g, 50, model="ic", hops=2)
-        assert res.seeds == w_only.seeds and res.marginal_gains == w_only.marginal_gains
-        assert res.probes < w_only.probes
+        res = greedy_celf(g, 50, model=model, hops=2, bootstrap=bootstrap)
+        assert res.evaluations == self.EVALUATIONS[model][bootstrap == "none"]
 
 
 def tied_graph(copies=4, isolated=3):
@@ -215,7 +208,6 @@ class TestFrontierMatchesAllNodeHeap:
                 assert res.seeds == ref.seeds
                 assert res.marginal_gains == ref.marginal_gains
                 assert res.evaluations == ref.evaluations
-                assert res.bound_refreshes == ref.bound_refreshes
                 assert res.probes == ref.probes
 
     def test_tied_graph_ties_bounds(self):
