@@ -18,7 +18,6 @@ from .bounds import UpperBounds, upper_bounds
 from .generate import power_law_graph, power_law_in_degree_graph
 from .graph import Graph, GraphError, WeightModel, apply_weight_model, load_edge_list, validate_lt
 from .hop_estimator import (
-    GainProbe,
     GainReport,
     HopState,
     StaleReportError,
@@ -47,7 +46,6 @@ from .selection import (
 
 __all__ = [
     "ExactSpreadTable",
-    "GainProbe",
     "GainReport",
     "Graph",
     "GraphError",

@@ -36,8 +36,8 @@ class ScaleFreeParams:
             raise ValueError("p must be in [0, 1]")
         if not 0.0 <= self.seed_ratio <= 1.0:
             raise ValueError("seed_ratio must be in [0, 1]")
-        if self.truncation < 10**3:
-            raise ValueError("truncation must be at least 1000")
+        if not 10**3 <= self.truncation <= 10**7:  # a power table costs 8 B per degree; `_pmf` caches 16
+            raise ValueError(f"truncation must be in [1000, 10^7], got {self.truncation}")
 
 
 @lru_cache(maxsize=64)

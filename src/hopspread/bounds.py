@@ -33,6 +33,6 @@ def upper_bounds(g, h):
     if h < 0:
         raise ValueError("hop count must be non-negative")
     values = np.ones(g.node_count)
-    for _ in range(h):
-        values = 1.0 + segment_sum(g.out_prob * values[g.out_dst], g.out_indptr)
+    for i in range(h):  # level 1 sums out_prob itself: values is all ones
+        values = 1.0 + segment_sum(g.out_prob * values[g.out_dst] if i else g.out_prob, g.out_indptr)
     return UpperBounds(h=h, values=values)

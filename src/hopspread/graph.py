@@ -278,7 +278,9 @@ def _parse_buffer(data):
     or `_triple_tokens` ("u v p"); the lines before it must be UTF-8. Whole
     lines up to the last non-blank one (which may lack its line end) are gated
     and read in windows of about `_WINDOW` bytes, so that no check holds a
-    transient of the whole buffer; blank lines after it are skipped.
+    transient of the whole buffer; blank lines after it are skipped. A gate
+    sees "\r\n" as "\n" and a last line that lacks its end with "\n", so a
+    lone "\r" fails it; `np.fromstring` reads "\r\n" as "\n" by itself.
     `np.fromstring` reads the tokens `str.split()` gives the line loop: "u v"
     ids as int64, as `int()` does but saturating at 2^63 - 1; "u v p" fields
     as float64, as `float()` does, so ids are exact below 2^53 and, rounding
@@ -305,10 +307,11 @@ def _parse_buffer(data):
     windows = []
     while start < stop:
         end = data.find(b"\n", start + _WINDOW, stop) + 1 or stop
-        if data.endswith(b"\n", start, end):
-            count = gate(data[start:end])
-        else:  # the last line lacks its end: give it the window's own
-            count = gate(data[start:end] + (b"\r\n" if data.rfind(b"\r\n", start, end) >= 0 else b"\n"))
+        window = data[start:end]
+        if b"\r" in window:  # replace scans even a window it returns unchanged
+            window = window.replace(b"\r\n", b"\n")
+        count = gate(window if window.endswith(b"\n") else window + b"\n")
+        del window  # before the next slice, so that one buffer serves every window
         if count is None:
             return None
         windows.append((start, end, count))
@@ -337,25 +340,19 @@ def _parse_buffer(data):
 
 def _pair_tokens(window):
     """How many ids `window` holds if its lines are all "<digits>" sep
-    "<digits>" eol, with sep one ' ' or one tab and eol "\\n" or "\\r\\n",
-    each the same throughout, else None.
+    "<digits>" "\\n", with sep one ' ' or one tab throughout, else None.
 
-    That holds when the non-digit bytes repeat sep + eol, no two of them
-    touch but the "\\r\\n" of a CRLF eol, and the window starts with a digit
-    and ends with "\\n". `np.fromstring` reads "\\r\\n" as it reads "\\n".
+    That holds when the non-digit bytes repeat sep + "\\n", no two of them
+    touch, and the window starts with a digit and ends with "\\n".
     """
     rest = window.translate(None, b"0123456789")
-    line = rest[:3] if rest[1:2] == b"\r" else rest[:2]
-    if line[:1] not in (b" ", b"\t") or not window.endswith(b"\n") or rest != line * (len(rest) // len(line)):
+    line = rest[:2]
+    if line[:1] not in (b" ", b"\t") or not window.endswith(b"\n") or rest != line * (len(rest) // 2):
         return None
-    b = np.frombuffer(window, dtype=np.uint8)
-    blank = b < 0x30
-    touching = blank[1:] & blank[:-1]
-    if len(line) == 3:
-        touching ^= b[:-1] == 0x0D  # each "\r" must touch its "\n"
-    if blank[0] or touching.any():
+    blank = np.frombuffer(window, dtype=np.uint8) < 0x30
+    if blank[0] or (blank[1:] & blank[:-1]).any():
         return None
-    return 2 * (len(rest) // len(line))
+    return len(rest)
 
 
 # The non-digit bytes of a "u v p" line as classes 0-4, named s d e g n: sep,
@@ -370,18 +367,15 @@ for _touching, _allowed in enumerate(["ss sn sd se dn de en gn ns", "sd dn de eg
 
 def _triple_tokens(window):
     """How many values `window` holds if its lines are all "<digits>" sep
-    "<digits>" sep "<probability>" eol, with sep one ' ' or one tab throughout,
-    eol "\\n" or "\\r\\n" and each probability matching
+    "<digits>" sep "<probability>" "\\n", with sep one ' ' or one tab
+    throughout and each probability matching
     (\\d+\\.?\\d*|\\.\\d+)([eE][+-]?\\d+)?, else None.
 
-    That holds when, with each "\\r\\n" read as "\\n", the window starts with
-    a digit, its non-digit bytes less '.', 'e', 'E', '+' and '-' repeat sep
-    sep "\\n", each non-digit byte and the next are in `_PAIRS`, and no '.'
-    touches a non-digit on both sides; a lone "\\r" fails the repeat.
-    `np.fromstring` reads "\\r\\n" as it reads "\\n", but itself reads "1e"
-    or "1.5.3" as a prefix without error.
+    That holds when the window starts with a digit, its non-digit bytes less
+    '.', 'e', 'E', '+' and '-' repeat sep sep "\\n", each non-digit byte and
+    the next are in `_PAIRS`, and no '.' touches a non-digit on both sides.
+    `np.fromstring` itself reads "1e" or "1.5.3" as a prefix without error.
     """
-    window = window.replace(b"\r\n", b"\n")
     b = np.frombuffer(window, dtype=np.uint8)
     at = np.flatnonzero(b - np.uint8(0x30) > 9)  # the non-digit bytes
     rest = b[at].tobytes()

@@ -55,53 +55,38 @@ BOUND_SLACK = 1e-9
 
 
 class StaleReportError(RuntimeError):
-    """A GainReport or GainProbe was produced against another state or an older version."""
+    """A GainReport was produced against another state or an older version."""
 
 
-class GainProbe:
-    """A candidate's would-be one-hop values plus, with two hops, C's
-    out-edge targets and changes and the linear bound they give on its gain.
+class GainReport:
+    """One candidate's would-be one-hop values, the `bound` on its marginal
+    hop-limited gain that `probe_gain` sets, and the `gain` and two-hop
+    values that `eval_gain` fills in. With one hop the gather sets both."""
 
-    With one hop a probe is the evaluation itself, and `bound` is the exact
-    gain. The gather `eval_gain` runs for a node leaves a two-hop bound unset.
-    """
+    __slots__ = (
+        "state",
+        "candidate",
+        "bound",
+        "gain",
+        "state_version",
+        "q1_nodes",
+        "q1_values",
+        "c_dst",
+        "change",
+        "q2_nodes",
+        "q2_values",
+    )
 
-    __slots__ = ("state", "candidate", "bound", "state_version", "q1_nodes", "q1_values", "c_dst", "change")
-
-    def __init__(self, state, candidate, bound, q1_nodes, q1_values, c_dst=None, change=None):
+    def __init__(self, state, candidate, q1_nodes, q1_values, gain=None, c_dst=None, change=None):
         self.state = state
         self.candidate = candidate
-        self.bound = bound
+        self.bound = self.gain = gain
         self.state_version = state.version
         self.q1_nodes = q1_nodes
         self.q1_values = q1_values
         self.c_dst = c_dst
         self.change = change
-
-
-class GainReport:
-    """Marginal hop-limited gain of one candidate plus the values to commit."""
-
-    __slots__ = (
-        "state",
-        "candidate",
-        "gain",
-        "state_version",
-        "q1_nodes",
-        "q1_values",
-        "q2_nodes",
-        "q2_values",
-    )
-
-    def __init__(self, state, candidate, gain, q1_nodes, q1_values, q2_nodes=None, q2_values=None):
-        self.state = state
-        self.candidate = candidate
-        self.gain = gain
-        self.state_version = state.version
-        self.q1_nodes = q1_nodes
-        self.q1_values = q1_values
-        self.q2_nodes = q2_nodes
-        self.q2_values = q2_values
+        self.q2_nodes = self.q2_values = None
 
 
 class HopState:
@@ -159,7 +144,7 @@ def init_state(g, model="ic", hops=2):
 
 
 def _check_current(state, item, kind):
-    """Raise unless `item` (a report or a probe) was made against `state` at its current version."""
+    """Raise unless the report `item` was made against `state` at its current version."""
     if item.state is not state:
         raise StaleReportError(f"{kind} for node {item.candidate} was evaluated against another state")
     if item.state_version != state.version:
@@ -170,10 +155,8 @@ def _check_current(state, item, kind):
 
 
 def _gather(s, u):
-    """A probe of `u` without its bound: C's out-edge targets and changes.
-
-    With one hop the probe is the evaluation, and its bound is the gain.
-    """
+    """The report of `u` without its two-hop bound: C's out-edge targets and
+    changes, or with one hop the complete evaluation."""
     g, q1 = s.graph, s.q1
     u = int(u)
     if not 0 <= u < g.node_count:
@@ -190,7 +173,7 @@ def _gather(s, u):
     q1_nodes = np.concatenate(([u], ws))
     q1_values = np.concatenate(([0.0], q1w_new))
     if s.hops == 1:
-        return GainProbe(s, u, float(q1[u] + (q1w - q1w_new).sum()), q1_nodes, q1_values)
+        return GainReport(s, u, q1_nodes, q1_values, gain=float(q1[u] + (q1w - q1w_new).sum()))
 
     # Only the out-edges of C = {u} + ws change their transmission.
     c_edges, c_seg = gather_rows(g.out_indptr, q1_nodes)
@@ -205,18 +188,18 @@ def _gather(s, u):
         np.divide(change, f_old, out=change, where=f_old > 0.0)
     else:
         change = p * np.repeat(q1_old - q1_values, counts)
-    return GainProbe(s, u, None, q1_nodes, q1_values, g.out_dst.take(c_edges), change)
+    return GainReport(s, u, q1_nodes, q1_values, c_dst=g.out_dst.take(c_edges), change=change)
 
 
 def probe_gain(state, u):
-    """First step of `eval_gain`: C's out-edges, their changes and the
-    linear bound on the gain of adding `u`, without changing state.
+    """First step of `eval_gain`: a report of C's out-edges, their changes
+    and the linear bound on the gain of adding `u`, without changing state.
 
     The bound is q2[u] plus, over C's out-edges (c, t), q2[t] * (1 - f_new /
     f_old) under IC or min(q2[t], p * (q1[c] - q1'[c])) under LT, with
     BOUND_SLACK on top. An IC edge with f_old = 0 has already made q2[t]
     exactly 0, so it adds nothing. At the empty seed set the bound is
-    `upper_bounds(g, 2)`. Pass the probe to `eval_gain` before the next
+    `upper_bounds(g, 2)`. Pass the report to `eval_gain` before the next
     commit.
     """
     s = state
@@ -235,24 +218,23 @@ def probe_gain(state, u):
 def eval_gain(state, u):
     """Exact marginal hop-limited gain of adding `u`, without changing state.
 
-    `u` is a node, whose probe is gathered first (without its bound), or a
-    `GainProbe` made against this state at its current version.
+    `u` is a node, or a report from `probe_gain` at the state's current
+    version, which is completed in place; one whose gain is known is returned.
     """
     s = state
-    if isinstance(u, GainProbe):
+    if isinstance(u, GainReport):
         _check_current(s, u, "probe")
-        probe = u
+        report = u
     else:
-        probe = _gather(s, u)
-    u, q1_nodes, q1_values = probe.candidate, probe.q1_nodes, probe.q1_values
-    if s.hops == 1:
-        return GainReport(s, u, probe.bound, q1_nodes, q1_values)
+        report = _gather(s, u)
+    if report.gain is not None:
+        return report
 
     # Each reached target's q2 takes the product (IC) or sum (LT) of its
     # edges' changes. One sort of uint64 keys (target, C-edge index) groups
     # the edges in C-edge order; 64 bits hold both while the node count and
     # C's edge count are at most 2^32.
-    c_dst = probe.c_dst
+    u, c_dst = report.candidate, report.c_dst
     edge_bits = np.uint64(max(len(c_dst) - 1, 0).bit_length())
     key = c_dst.astype(np.uint64)
     key <<= edge_bits
@@ -260,7 +242,7 @@ def eval_gain(state, u):
     key.sort()
     dst = (key >> edge_bits).view(np.int64)
     key &= (np.uint64(1) << edge_bits) - np.uint64(1)
-    change = probe.change.take(key.view(np.int64))
+    change = report.change.take(key.view(np.int64))
     first = np.ones(len(dst), dtype=bool)
     np.not_equal(dst[1:], dst[:-1], out=first[1:])
     starts = np.flatnonzero(first)
@@ -273,16 +255,19 @@ def eval_gain(state, u):
     else:
         # bincount adds in input order; add.reduceat sums a long group pairwise.
         t_values = np.maximum(q2[t] - np.bincount(np.cumsum(first), weights=change)[1:][live], 0.0)
-    gain = q2[u] + (q2[t] - t_values).sum()
-    q2_nodes = np.concatenate(([u], t))
-    q2_values = np.concatenate(([0.0], t_values))
-    return GainReport(s, u, float(gain), q1_nodes, q1_values, q2_nodes, q2_values)
+    report.gain = float(q2[u] + (q2[t] - t_values).sum())
+    report.q2_nodes = np.concatenate(([u], t))
+    report.q2_values = np.concatenate(([0.0], t_values))
+    report.c_dst = report.change = None  # only this evaluation reads them: free them
+    return report
 
 
 def commit(state, report):
-    """Apply a GainReport produced against this exact state and version."""
+    """Apply an evaluated GainReport produced against this exact state and version."""
     _check_current(state, report, "report")
     u = report.candidate
+    if report.gain is None:
+        raise ValueError(f"report for node {u} has no gain: pass it to eval_gain first")
     if state.seed_mask[u]:
         raise ValueError(f"node {u} is already a seed")
     state.q1[report.q1_nodes] = report.q1_values

@@ -22,6 +22,7 @@ accumulated in that same order, so every count is fixed by the seed.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,8 @@ def estimate_spread(g, seeds, model="ic", hop_limit=None, n_sims=10000, rng_seed
     seed_ids = _check_seeds(g, seeds)
     if rng_seed is None:
         rng_seed = fresh_seed()
+    # A pool forks all its workers at its first submit: cap them to the work and the CPUs.
+    workers = min(workers, n_sims, os.cpu_count() or 1)
     if workers <= 1:
         parts = [_sim_chunk(g, seed_ids, model, hop_limit, rng_seed, 0, n_sims)]
     else:

@@ -67,6 +67,9 @@ class TestDegreeDistributions:
             ScaleFreeParams(gamma=3.0, seed_ratio=-0.1)
         with pytest.raises(ValueError):
             ScaleFreeParams(gamma=3.0, truncation=100)
+        with pytest.raises(ValueError, match="truncation"):
+            ScaleFreeParams(gamma=3.0, truncation=10**7 + 1)
+        assert ScaleFreeParams(gamma=3.0, truncation=10**7).truncation == 10**7
 
     def test_truncation_tail_small_for_default(self):
         assert truncation_tail(ScaleFreeParams(gamma=3.0), "p0") < 1e-9

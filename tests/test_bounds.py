@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ic_graph
+from hopspread._segments import segment_sum
 from hopspread.bounds import upper_bounds
 from hopspread.generate import power_law_graph
 from hopspread.graph import Graph, WeightModel, apply_weight_model
@@ -24,6 +25,17 @@ class TestChainValues:
         g = Graph(3, [0], [1], [0.4])
         for h in (1, 2):
             assert upper_bounds(g, h).values[2] == 1.0
+
+    def test_levels_equal_the_all_ones_recursion(self):
+        # Level 1 sums out_prob itself; a product with an all-ones gather is
+        # the same bits.
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            g = random_ic_graph(rng, n_max=40, m_max=150, n_min=2)
+            values = np.ones(g.node_count)
+            for h in (1, 2, 3):
+                values = 1.0 + segment_sum(g.out_prob * values[g.out_dst], g.out_indptr)
+                assert np.array_equal(upper_bounds(g, h).values, values)
 
 
 class TestDominance:

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -320,6 +322,19 @@ class TestAlphaSurface:
 
     def test_bad_grid_is_config_error(self):
         assert main(["alpha-surface", "--p-grid", "0:0.1"]) == 1
+
+    def test_truncation_beyond_limit_is_refused_before_allocating(self, capsys):
+        # 10^12 degrees would ask numpy for a 7.28 TiB power table.
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            code = main(["alpha-surface", "--truncation", "1000000000000"])
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and elapsed < 1.0 and peak < 1 << 20
+        assert "truncation" in capsys.readouterr().err
 
 
 class TestBench:

@@ -261,7 +261,7 @@ class TestFastParseMatchesLineLoop:
     @pytest.mark.parametrize(
         "text",
         [b"+ 5\n", b"5 +\n", b"- 6\n", b"+5 6\n", b"1 2 3\n4\n", b"1\n2 3 4\n", b"1 2\n3\n", b"1 2\r3 4\n",
-         b"1\x1c2\n", b"1 2\r\n3 4\n", b"1  2\n", b"1 2\n3\t4\n", b"1 2\n\n3 4\n", b"1 9223372036854775807\n",
+         b"1\x1c2\n", b"1  2\n", b"1 2\n3\t4\n", b"1 2\n\n3 4\n", b"1 9223372036854775807\n",
          b"1 9223372036854775808\n", b"1 99999999999999999999\n", b"0 1\n# mid-file\n1 2\n", b"7 7\n",
          b"1 \n 2\n", b" 12\n3 4\n", b"0 1\n1 \n 2\n", b"0 1\n 12\n3 4\n", b"0 1\n2 3 4\n", b"0 1\n1\x1c2\n",
          b"0 1\n1 2\r3 4\n", b"0 1 1e\n", b"0 1 0.5\n1 2 1e", b"0 1 1.5.3\n", b"0 1 .\n", b"0 1 +.5\n",
@@ -336,18 +336,18 @@ class TestFastParseMatchesLineLoop:
             assert graph_module._parse_buffer(text) is None, text
 
     def test_crlf_pairs_keep_the_scan(self, monkeypatch):
-        # "\r\n" throughout a window keeps the "u v" scan, also when the last
-        # line lacks its end; each taken input reads as the loop reads it. A
-        # lone "\r", LF and CRLF in one window and a blank before "\r\n" go
-        # to the loop.
+        # "\r\n" line ends, alone or mixed with "\n" in one window, keep the
+        # "u v" scan, also when the last line lacks its end; each taken input
+        # reads as the loop reads it. A lone "\r", also at the end of the
+        # file, and a blank before "\r\n" go to the loop.
         for text in (b"0 1\r\n1 2\r\n", b"0\t1\r\n5\t2\r\n", b"# h\r\n\r\n0 1\r\n1 2\r\n", b"0 1\r\n1 2\r\n\r\n",
-                     b"0 1\r\n1 2\r\n\r\n \r\n\t\r\n", b"0 1\r\n1 2\r\n\n\n", b"\r\n0 1\r",
-                     b"0 1\r\n1 2", b"# h\r\n0 1"):
+                     b"0 1\r\n1 2\r\n\r\n \r\n\t\r\n", b"0 1\r\n1 2\r\n\n\n", b"0 1\r\n1 2", b"# h\r\n0 1",
+                     b"1 2\r\n3 4\n", b"0 1\r\n1 2\n", b"0 1\n1 2\r\n"):
             edges = graph_module._parse_buffer(text)
             assert edges is not None, text
             for got, want in zip(edges, graph_module._parse_lines(text)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), text
-        for text in (b"0 1\r\n1 2\n", b"0 1\n1 2\r\n", b"0 1\r2 3\r\n", b"0 1\r\n1\r2\r\n", b"0 1\r\r\n",
+        for text in (b"\r\n0 1\r", b"0 1\r2 3\r\n", b"0 1\r\n1\r2\r\n", b"0 1\r\r\n",
                      b"0 1 \r\n", b"0 1\r\n\r\n1 2\r\n", b"0 1\r\n1 2\r", b"0 1\r\n1 2\r3\n"):
             assert graph_module._parse_buffer(text) is None, text
             got = _load_outcome(text, None)
@@ -380,7 +380,7 @@ class TestFastParseMatchesLineLoop:
                 m.setattr(graph_module, "_parse_buffer", lambda data: None)
                 assert got == _load_outcome(data, num_nodes), (data, num_nodes)
             taken[kind] += graph_module._parse_buffer(data) is not None
-        assert taken["crlf"] >= 10 and taken["trailing"] >= 10, taken
+        assert taken["crlf"] >= 10 and taken["mixed"] >= 10 and taken["trailing"] >= 10, taken
 
     def test_non_ascii_data_lines_leave_the_scan(self):
         # The gates must not rely on how a numpy version treats non-ASCII

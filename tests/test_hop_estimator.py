@@ -623,9 +623,10 @@ class TestProbe:
             for u in np.flatnonzero(~s.seed_mask)[:12]:
                 probe = probe_gain(s, int(u))
                 direct = eval_gain(s, int(u))
-                # Twice: evaluating a probe does not change it.
+                # Twice: the first call completes the probe, and the second
+                # returns the completed record as is.
                 for report in (eval_gain(s, probe), eval_gain(s, probe)):
-                    assert report.state is s
+                    assert report is probe and report.state is s
                     for name in fields:
                         a, b = getattr(report, name), getattr(direct, name)
                         assert type(a) is type(b)
@@ -635,6 +636,27 @@ class TestProbe:
                             assert a == b
                 if hops == 1:
                     assert probe.bound == direct.gain
+
+    def test_commit_refuses_a_probe_without_gain(self):
+        rng = np.random.default_rng(94)
+        for s in self.states(rng):
+            u = int(np.flatnonzero(~s.seed_mask)[0])
+            before = (s.q1.tobytes(), s.q2.tobytes(), s.seed_mask.tobytes(), list(s.seeds), s.sigma, s.version)
+            with pytest.raises(ValueError, match=f"report for node {u} has no gain"):
+                commit(s, probe_gain(s, u))
+            assert (s.q1.tobytes(), s.q2.tobytes(), s.seed_mask.tobytes(), list(s.seeds), s.sigma, s.version) == before
+
+    def test_one_hop_probe_commits_as_its_evaluation(self):
+        rng = np.random.default_rng(95)
+        for s in self.states(rng, hops=1):
+            twin = init_state(s.graph, s.model, 1)
+            for v in s.seeds:
+                commit(twin, eval_gain(twin, v))
+            u = int(np.flatnonzero(~s.seed_mask)[-1])
+            commit(s, probe_gain(s, u))
+            commit(twin, eval_gain(twin, u))
+            assert s.q1.tobytes() == twin.q1.tobytes() and s.seed_mask.tobytes() == twin.seed_mask.tobytes()
+            assert (s.seeds, s.sigma, s.version) == (twin.seeds, twin.sigma, twin.version)
 
     @pytest.mark.parametrize("hops", [1, 2])
     def test_stale_probe_and_seed_are_refused(self, chain_graph, hops):

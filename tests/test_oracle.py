@@ -1,5 +1,6 @@
 """Simulation and enumeration oracles: trivial cases, self-consistency."""
 
+import concurrent.futures
 import os
 import re
 import subprocess
@@ -92,6 +93,36 @@ class TestEstimateSpread:
             a = estimate_spread(chain_graph, [0], model, None, 400, rng_seed=5, workers=1)
             b = estimate_spread(chain_graph, [0], model, None, 400, rng_seed=5, workers=2)
             assert a.mean == b.mean and a.std_error == b.std_error
+
+    def test_pool_is_capped_by_simulations_and_cpus(self, chain_graph, monkeypatch):
+        # The stub records the pool size and maps in-process: no process starts.
+        sizes = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 8)
+        for model in ("ic", "lt"):
+            one = estimate_spread(chain_graph, [0], model, None, 3, rng_seed=5, workers=1)
+            assert sizes == []
+            assert estimate_spread(chain_graph, [0], model, None, 3, rng_seed=5, workers=10**6) == one
+            assert sizes.pop() == 3
+        estimate_spread(chain_graph, [0], "ic", None, 100, rng_seed=5, workers=10**6)
+        assert sizes.pop() == 8
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+        estimate_spread(chain_graph, [0], "ic", None, 100, rng_seed=5, workers=10**6)
+        assert sizes == []
 
     def test_one_worker_never_imports_the_process_pool(self):
         # concurrent.futures costs ~2 MiB of RSS that one worker never uses.

@@ -158,6 +158,35 @@ class TestStateAwareBounds:
         res = greedy_celf(g, 50, model=model, hops=2, bootstrap=bootstrap)
         assert res.evaluations == self.EVALUATIONS[model][bootstrap == "none"]
 
+    # On the same runs: probes, and the out-edges of C = {u} + u's non-seed
+    # out-neighbours summed over every gather of a node u.
+    PROBES = {"ic": (364, 364), "lt": (171, 171)}
+    C_EDGES = {"ic": (191_753, 401_918), "lt": (116_492, 326_657)}
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    @pytest.mark.parametrize("bootstrap", ["upper_bounds", "none"])
+    def test_pinned_gather_counts(self, monkeypatch, model, bootstrap):
+        g = apply_weight_model(power_law_graph(2000, 20000, rng_seed=7), WeightModel("wc"))
+        degree = g.out_degrees()
+        gathered = []
+
+        # Counted from the state and the graph, not from what the call returns.
+        def counting(fn):
+            def wrapped(state, u):
+                if isinstance(u, (int, np.integer)):
+                    nbrs, _ = g.out_edges(int(u))
+                    gathered.append(int(degree[u] + degree[nbrs[~state.seed_mask[nbrs]]].sum()))
+                return fn(state, u)
+
+            return wrapped
+
+        monkeypatch.setattr(selection, "probe_gain", counting(selection.probe_gain))
+        monkeypatch.setattr(selection, "eval_gain", counting(selection.eval_gain))
+        res = greedy_celf(g, 50, model=model, hops=2, bootstrap=bootstrap)
+        assert res.probes == self.PROBES[model][bootstrap == "none"]
+        assert sum(gathered) == self.C_EDGES[model][bootstrap == "none"]
+        assert greedy_celf(g, 50, model=model, hops=1, bootstrap=bootstrap).probes == 0
+
 
 def tied_graph(copies=4, isolated=3):
     """Disjoint copies of one 4-node motif (a 3-cycle through a p = 1 edge
