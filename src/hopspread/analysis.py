@@ -56,8 +56,6 @@ def _pmf(exponent, truncation):
 
 def _exponent(params, which):
     if which == "p0":
-        if not params.gamma > 1.0:
-            raise ValueError("P0 requires gamma > 1")
         return -params.gamma
     if which == "p1":
         if not params.gamma > 2.0:
@@ -135,7 +133,10 @@ def solve_expected_fraction(params):
 
     Returns (phi, varphi): phi is the expected fraction of nodes activated
     without hop limit, varphi the instrumental edge-following fraction.
-    Plain iteration, with 0.5 damping engaged if the updates oscillate.
+    Plain iteration from varphi = r: the map
+    v -> 1 - (1 - r) sum_d P1(d) (1 - p v)^d sends [0, 1] into [r, 1] and
+    does not decrease in v, so the iterates move one way to the fixed point
+    and need no damping.
     """
     r = params.seed_ratio
     p = params.p
@@ -144,18 +145,13 @@ def solve_expected_fraction(params):
     p0 = _pmf(_exponent(params, "p0"), d_max)
     buf = np.empty(d_max)
     varphi = r
-    damping = 1.0
-    prev_delta = None
     for _ in range(FIXED_POINT_MAX_ITERS):
         nxt = 1.0 - (1.0 - r) * float(p1 @ _powers(1.0 - p * varphi, buf))
         delta = nxt - varphi
         if abs(delta) < FIXED_POINT_TOL:
             varphi = nxt
             break
-        if prev_delta is not None and delta * prev_delta < 0.0:
-            damping = 0.5
-        prev_delta = delta
-        varphi += damping * delta
+        varphi += delta
     else:
         raise RuntimeError("activated-fraction fixed point did not converge")
     x = 1.0 - p * varphi

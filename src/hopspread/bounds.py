@@ -9,6 +9,10 @@ linear pass per level makes bootstrapping the first greedy pick nearly free.
 At h = 2 the bound is 1 + W[v] + sum over out-edges of p(v,w) * W[w], with
 W the total out-probability, which is the bound of `hop_estimator.probe_gain`
 at the empty seed set; a probe re-evaluates it against a nonempty one.
+
+At most n levels run. A shortest live path has at most n - 1 edges, so the
+h-hop spread is the same for every h >= n - 1, and the recursion does not
+fall with h, so bound(n) dominates it for every h >= n.
 """
 
 from __future__ import annotations
@@ -33,6 +37,6 @@ def upper_bounds(g, h):
     if h < 0:
         raise ValueError("hop count must be non-negative")
     values = np.ones(g.node_count)
-    for i in range(h):  # level 1 sums out_prob itself: values is all ones
+    for i in range(min(h, g.node_count)):  # level 1 sums out_prob itself: values is all ones
         values = 1.0 + segment_sum(g.out_prob * values[g.out_dst] if i else g.out_prob, g.out_indptr)
     return UpperBounds(h=h, values=values)

@@ -106,10 +106,6 @@ def _select_once(g, algo, k, diffusion, dd_p, degree_kind):
 def cmd_select(args):
     if args.k < 1:
         raise ConfigError("--k must be at least 1")
-    if args.algo in ("onehop", "twohop", "twohop-o"):
-        required = 1 if args.algo == "onehop" else 2
-        if args.hops is not None and args.hops != required:
-            raise ConfigError(f"--algo {args.algo} requires --hops {required}")
     g, model_text = _load_weighted(args)
     result = _select_once(g, args.algo, args.k, args.diffusion, args.dd_p, args.degree_kind)
     original = [int(g.original_ids[v]) for v in result.seeds]
@@ -332,7 +328,6 @@ def build_parser():
     _add_graph_flags(p)
     p.add_argument("--algo", choices=ALGORITHMS, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--hops", type=int, default=None, choices=(1, 2))
     p.add_argument("--diffusion", choices=("ic", "lt"), default="ic")
     p.add_argument("--dd-p", type=float, default=0.01, help="degree-discount probability")
     p.add_argument("--degree-kind", choices=("out", "in", "total"), default="out")

@@ -94,7 +94,8 @@ class HopState:
 
     q1[v] = P[v not active within one hop], q2[v] likewise for two hops
     (only present when hops == 2). Seeds hold q = 0. Every array is per
-    node. `sigma` tracks the running hop-limited spread.
+    node. `sigma` tracks the running hop-limited spread. The constructor
+    checks the model, the hop count and, under LT, the in-weights.
     """
 
     __slots__ = (
@@ -110,6 +111,14 @@ class HopState:
     )
 
     def __init__(self, graph, model, hops):
+        if model not in ("ic", "lt"):
+            raise ValueError(f"unknown diffusion model {model!r}")
+        if hops not in (1, 2):
+            raise ValueError(f"hops must be 1 or 2, got {hops}")
+        if model == "lt":
+            bad = validate_lt(graph)
+            if bad:
+                raise GraphError(f"{len(bad)} nodes exceed unit incoming weight (first: {bad[0]})")
         n = graph.node_count
         self.graph = graph
         self.model = model
@@ -132,14 +141,6 @@ class HopState:
 
 def init_state(g, model="ic", hops=2):
     """Fresh empty-seed-set state: all activation probabilities zero."""
-    if model not in ("ic", "lt"):
-        raise ValueError(f"unknown diffusion model {model!r}")
-    if hops not in (1, 2):
-        raise ValueError(f"hops must be 1 or 2, got {hops}")
-    if model == "lt":
-        bad = validate_lt(g)
-        if bad:
-            raise GraphError(f"{len(bad)} nodes exceed unit incoming weight (first: {bad[0]})")
     return HopState(g, model, hops)
 
 

@@ -15,10 +15,11 @@ current marginal gain. A key is one of three kinds:
   probe would.
 - this round's bound to evaluate (level 0): a probe bound, or in round 0 a
   bootstrap key. A pop gets a full `eval_gain`, from the waiting probe if
-  there is one, and the node goes back with its exact gain at level 1.
+  there is one, and the node goes back with its exact gain at level 1, its
+  report waiting in the same dict.
 - this round's exact gain (level 1): since every other key bounds its
-  node's gain, a pop is the round's best report, and it is committed as
-  is.
+  node's gain, a pop is the round's best report, and its waiting report
+  is committed as is.
 
 A probe costs the gather of an evaluation but not its grouping sort, so it
 spares the sort for the candidates whose probe bound falls below the
@@ -106,38 +107,32 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
     taken = 1
     evaluations = probes = 0
     waiting = {}
-    best = None
-    seeds = []
     gains = []
-    while len(seeds) < k:
+    while len(state.seeds) < k:
         _, node, stamp = heapq.heappop(heap)
         if stamp == 0 and taken < n:
             v = int(order[taken])
             heapq.heappush(heap, (float(neg[v]), v, 0))
             taken += 1
-        now = 2 * len(seeds)
+        now = 2 * len(state.seeds)
         if stamp == now + 1:
             # Every other key bounds its node's gain, so this round's exact
             # pop is the round's best report.
-            commit(state, best)
-            seeds.append(node)
-            gains.append(best.gain)
-            best = None
+            commit(state, waiting[node])
+            gains.append(waiting[node].gain)
             waiting.clear()
         elif stamp < now and hops == 2:
             probe = waiting[node] = probe_gain(state, node)
             probes += 1
             heapq.heappush(heap, (-probe.bound, node, now))
         else:
-            report = eval_gain(state, waiting.pop(node, node))
+            report = waiting[node] = eval_gain(state, waiting.get(node, node))
             evaluations += 1
-            if best is None or (report.gain, -node) > (best.gain, -best.candidate):
-                best = report
             heapq.heappush(heap, (-report.gain, node, now + 1))
     elapsed = time.perf_counter() - t0
     name = ("twohop" if hops == 2 else "onehop") + ("-o" if bootstrap == "none" else "")
     return SeedResult(
-        seeds=seeds,
+        seeds=state.seeds,
         marginal_gains=gains,
         algorithm=name,
         elapsed=elapsed,
@@ -214,7 +209,8 @@ def degree_discount(g, k, p=0.01):
     A node's priority starts at its out-degree d and becomes
     d - 2t - (d - t)*t*p once t of its in-neighbors are selected. Each of
     the k picks takes the first maximum of the priority array, so ties go to
-    the smaller id, then updates the picked node's unselected out-neighbors.
+    the smaller id, sets the picked node's priority to -inf, and updates its
+    out-neighbors whose priority is finite.
     A pick costs O(n), so k close to n on a large graph costs O(nk).
     """
     _check_k(g, k)
@@ -224,16 +220,14 @@ def degree_discount(g, k, p=0.01):
     d = g.out_degrees().astype(np.float64)
     t = np.zeros(g.node_count)
     priority = d.copy()
-    selected = np.zeros(g.node_count, dtype=bool)
     seeds = []
     for _ in range(k):
         u = int(priority.argmax())
-        selected[u] = True
         priority[u] = -np.inf
         seeds.append(u)
         nbrs, _ = g.out_edges(u)
         # Out-rows hold no duplicate targets, so the fancy += is exact.
-        w = nbrs[~selected[nbrs]]
+        w = nbrs[priority[nbrs] != -np.inf]
         t[w] += 1.0
         priority[w] = d[w] - 2.0 * t[w] - (d[w] - t[w]) * t[w] * p
     return SeedResult(

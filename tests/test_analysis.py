@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+from hopspread import analysis
 from hopspread.analysis import (
+    FIXED_POINT_TOL,
     ScaleFreeParams,
     alpha_lower_bound,
     alpha_surface,
@@ -189,6 +191,28 @@ class TestFixedPoint:
             res1, res2 = fixed_point_residuals(params, phi, varphi)
             assert res1 < 1e-10 and res2 < 1e-10
             assert 0.0 <= varphi <= 1.0 and 0.0 <= phi <= 1.0
+
+    def test_iterates_move_one_way(self, monkeypatch):
+        # v -> 1 - (1 - r) sum_d P1(d) (1 - p v)^d maps [0, 1] into [r, 1] and
+        # does not decrease in v, so plain iteration from v = r never steps
+        # back and needs no damping. Each call of `_powers` sees x = 1 - p v:
+        # the iterates, then the final varphi for phi. The last step is the
+        # converged one, below the tolerance, and may go either way by an ulp.
+        seen = []
+        real = analysis._powers
+        monkeypatch.setattr(analysis, "_powers", lambda x, buf: seen.append(x) or real(x, buf))
+        for gamma in (2.01, 2.3, 3.0, 5.0, 8.0):
+            for p in (0.0, 0.05, 0.5, 1.0):
+                for r in (0.0, 0.01, 0.3, 0.9, 1.0):
+                    for truncation in (1000, 10**5):
+                        seen.clear()
+                        params = ScaleFreeParams(gamma=gamma, p=p, seed_ratio=r, truncation=truncation)
+                        _, varphi = solve_expected_fraction(params)
+                        steps = np.diff(seen)
+                        assert (steps[:-1] <= 0.0).all(), (gamma, p, r, truncation)
+                        assert abs(steps[-1]) < FIXED_POINT_TOL
+                        # The sum of P1 rounds below 1, so a last step can land an ulp below r.
+                        assert r - FIXED_POINT_TOL <= varphi <= 1.0
 
     def test_phi_at_least_seed_ratio(self):
         params = ScaleFreeParams(gamma=3.0, p=0.1, seed_ratio=0.2)

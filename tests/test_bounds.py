@@ -1,14 +1,18 @@
 """Single-seed upper bounds: frozen values, dominance, and tree tightness."""
 
+import time
+
 import numpy as np
 import pytest
 
-from conftest import random_ic_graph
+from conftest import random_ic_graph, random_lt_graph
+from hopspread import bounds
 from hopspread._segments import segment_sum
 from hopspread.bounds import upper_bounds
 from hopspread.generate import power_law_graph
 from hopspread.graph import Graph, WeightModel, apply_weight_model
 from hopspread.hop_estimator import eval_gain, init_state
+from hopspread.oracle import exact_spread
 from hopspread.selection import greedy_celf
 
 
@@ -36,6 +40,55 @@ class TestChainValues:
             for h in (1, 2, 3):
                 values = 1.0 + segment_sum(g.out_prob * values[g.out_dst], g.out_indptr)
                 assert np.array_equal(upper_bounds(g, h).values, values)
+
+
+class TestLevelCap:
+    # At most n levels run: a shortest live path has at most n - 1 edges, so
+    # the h-hop spread is constant from h = n - 1 on, and the recursion does
+    # not fall with h.
+    def test_levels_up_to_n_equal_the_plain_recursion(self):
+        rng = np.random.default_rng(65)
+        for _ in range(20):
+            g = random_ic_graph(rng, n_max=12, m_max=60, p_one_frac=0.2)
+            n = g.node_count
+            values = np.ones(n)
+            for h in range(1, n + 1):
+                values = 1.0 + segment_sum(g.out_prob * values[g.out_dst], g.out_indptr)
+                assert np.array_equal(upper_bounds(g, h).values, values)
+            for h in (n + 1, 2 * n, 50):
+                ub = upper_bounds(g, h)
+                assert ub.h == h and np.array_equal(ub.values, values)
+
+    def test_capped_bound_dominates_exact_spread(self):
+        rng = np.random.default_rng(66)
+        cycle = Graph(3, [0, 1, 2], [1, 2, 0], [1.0] * 3)
+        path = Graph(4, [0, 1, 2], [1, 2, 3], [1.0] * 3)
+        cases = [("ic", cycle), ("lt", cycle), ("ic", path), ("lt", path)]
+        for _ in range(8):
+            cases.append(("ic", random_ic_graph(rng, n_max=5, m_max=8, p_one_frac=0.3)))
+            cases.append(("lt", random_lt_graph(rng, n_max=5, m_max=8, p_one_frac=0.3)))
+        for model, g in cases:
+            n = g.node_count
+            for h in (n, n + 1, 2 * n, 50):
+                ub = upper_bounds(g, h).values
+                for v in range(n):
+                    assert ub[v] >= exact_spread(g, [v], model=model, hop_limit=h) - 1e-9
+
+    def test_huge_hop_count_runs_n_levels(self, monkeypatch):
+        g = Graph(3, [0, 1], [1, 2], [0.5, 0.5])
+        expected = upper_bounds(g, 3).values
+        levels = []
+
+        def counted(values, indptr):
+            levels.append(1)
+            assert len(levels) <= g.node_count, "more levels than nodes"
+            return segment_sum(values, indptr)
+
+        monkeypatch.setattr(bounds, "segment_sum", counted)
+        t0 = time.perf_counter()
+        ub = upper_bounds(g, 100_000_000)
+        assert time.perf_counter() - t0 < 1.0 and len(levels) == 3
+        assert np.array_equal(ub.values, expected)
 
 
 class TestDominance:

@@ -89,9 +89,48 @@ class TestSelect:
         assert lines[0] == "rank,seed,marginal_gain"
         assert len(lines) == 3
 
-    def test_hops_algo_mismatch_is_config_error(self, chain_file):
+    def test_hops_algo_mismatch_is_config_error(self, chain_file, capsys):
+        # --algo sets the hop count, so select has no --hops flag.
         assert main(["select", "--graph", chain_file, "--algo", "onehop", "--hops", "2",
                      "--k", "1"]) == 1
+        assert "unrecognized arguments: --hops 2" in capsys.readouterr().err
+
+    def test_config_reports_the_hop_count_of_the_algorithm(self, chain_file, tmp_path):
+        out = tmp_path / "sel.json"
+        for algo, hops in (("onehop", 1), ("twohop", 2), ("twohop-o", 2), ("highdegree", None)):
+            assert main(["select", "--graph", chain_file, "--model", "file", "--algo", algo,
+                         "--k", "1", "--out", str(out)]) == 0
+            assert read_json(out)["config"]["hops"] == hops
+
+    def test_tri_without_rng_seed_records_and_replays_its_seed(self, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text("".join(f"{u} {(u * 7 + 3) % 40}\n{u} {(u * 11 + 5) % 40}\n" for u in range(40)))
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["select", "--graph", str(graph), "--model", "tri", "--algo", "twohop",
+                     "--k", "3", "--out", str(first)]) == 0
+        payload = read_json(first)
+        model = payload["config"]["model"]
+        assert model.startswith("tri:") and int(model[4:]) >= 0
+        assert main(["select", "--graph", str(graph), "--model", "tri", "--rng-seed", model[4:],
+                     "--algo", "twohop", "--k", "3", "--out", str(second)]) == 0
+        again = read_json(second)
+        assert again["config"]["model"] == model
+        assert (again["seeds"], again["marginal_gains"]) == (payload["seeds"], payload["marginal_gains"])
+        # Each run without --rng-seed draws its own seed.
+        assert main(["select", "--graph", str(graph), "--model", "tri", "--algo", "twohop",
+                     "--k", "3", "--out", str(second)]) == 0
+        assert read_json(second)["config"]["model"] != model
+
+    def test_without_out_writes_stdout(self, chain_file, tmp_path, capsys):
+        out = tmp_path / "sel.json"
+        argv = ["select", "--graph", chain_file, "--model", "file", "--algo", "twohop", "--k", "2"]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        written = read_json(out)
+        for key in ("seeds", "marginal_gains", "spread", "evaluations", "probes", "config"):
+            assert printed[key] == written[key]
 
     def test_nonpositive_k_is_config_error(self, chain_file):
         assert main(["select", "--graph", chain_file, "--algo", "twohop", "--k", "0"]) == 1
@@ -201,6 +240,21 @@ class TestEvaluate:
                          "--out", str(out)]) == 0
             assert read_json(out)["seeds"] == [10, 20]
 
+    def test_csv_row_matches_json(self, chain_file, tmp_path):
+        seeds = tmp_path / "s.json"
+        seeds.write_text("[10]")
+        rows = {}
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"eval.{fmt}"
+            assert main(["evaluate", "--graph", chain_file, "--model", "file", "--seeds-file", str(seeds),
+                         "--n-sims", "300", "--rng-seed", "9", "--format", fmt, "--out", str(out)]) == 0
+            rows[fmt] = out.read_text()
+        header, row = rows["csv"].strip().split("\n")
+        assert header == "mean,simulations,std_error"
+        mean, sims, se = row.split(",")
+        payload = json.loads(rows["json"])
+        assert (float(mean), int(sims), float(se)) == (payload["mean"], 300, payload["std_error"])
+
     def test_all_nodes_mean_is_node_count(self, chain_file, tmp_path):
         seeds = tmp_path / "all.json"
         seeds.write_text("[10, 20, 30]")
@@ -301,6 +355,18 @@ class TestBounds:
         payload = read_json(out)
         assert payload["bounds"] == [[10, 1.75], [20, 1.5], [30, 1.0]]
 
+    def test_huge_hop_count_runs_n_levels(self, chain_file, tmp_path):
+        outs = {}
+        for hops in ("3", "100000000"):
+            out = tmp_path / f"b{hops}.json"
+            t0 = time.perf_counter()
+            assert main(["bounds", "--graph", chain_file, "--model", "file", "--hops", hops,
+                         "--out", str(out)]) == 0
+            assert time.perf_counter() - t0 < 1.0
+            outs[hops] = read_json(out)
+        assert outs["100000000"]["hops"] == 100000000
+        assert outs["100000000"]["bounds"] == outs["3"]["bounds"] == [[10, 1.75], [20, 1.5], [30, 1.0]]
+
     def test_csv(self, chain_file, tmp_path):
         out = tmp_path / "b.csv"
         assert main(["bounds", "--graph", chain_file, "--model", "file", "--hops", "1",
@@ -319,6 +385,16 @@ class TestAlphaSurface:
         assert len(lines) == 10
         alphas = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(0.0 <= a <= 1.0 for a in alphas)
+
+    def test_comma_list_grid_equals_linspace_grid(self, tmp_path):
+        texts = []
+        for grid in ("0,0.05,0.1", "0:0.1:3"):
+            out = tmp_path / "surface.csv"
+            assert main(["alpha-surface", "--p-grid", grid, "--ratio-grid", "0.1,0.5",
+                         "--truncation", "1000", "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert len(texts[0].strip().split("\n")) == 7
 
     def test_bad_grid_is_config_error(self):
         assert main(["alpha-surface", "--p-grid", "0:0.1"]) == 1

@@ -21,6 +21,7 @@ from hopspread.bounds import upper_bounds
 from hopspread.graph import LT_WEIGHT_TOLERANCE, Graph, GraphError, validate_lt
 from hopspread.hop_estimator import (
     BOUND_SLACK,
+    HopState,
     StaleReportError,
     commit,
     eval_gain,
@@ -85,6 +86,23 @@ class TestStateContracts:
         g = Graph(3, [0, 1], [2, 2], [0.7, 0.7])
         with pytest.raises(GraphError):
             init_state(g, "lt", 1)
+
+    # HopState is public, so it checks its own inputs. Node 2 of this graph
+    # takes in-weight 1.8, and unchecked threshold math would give node 0 a
+    # gain of 2.9 under either model name.
+    HEAVY = Graph(3, [0, 1, 0], [1, 2, 2], [0.9] * 3)
+
+    def test_hop_state_rejects_unknown_model(self):
+        with pytest.raises(ValueError, match="unknown diffusion model 'sir'"):
+            HopState(self.HEAVY, "sir", 2)
+
+    def test_hop_state_rejects_inadmissible_lt_weights(self):
+        with pytest.raises(GraphError, match=r"1 nodes exceed unit incoming weight \(first: 2\)"):
+            HopState(self.HEAVY, "lt", 2)
+
+    def test_hop_state_rejects_three_hops(self):
+        with pytest.raises(ValueError, match="hops must be 1 or 2, got 3"):
+            HopState(self.HEAVY, "ic", 3)
 
     def test_eval_rejects_seed(self, chain_graph):
         s = init_state(chain_graph, "ic", 2)

@@ -133,6 +133,16 @@ class TestEstimateSpread:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_without_rng_seed_draws_one(self, chain_graph, monkeypatch):
+        drawn = []
+        real = oracle.fresh_seed
+        monkeypatch.setattr(oracle, "fresh_seed", lambda: drawn.append(real()) or drawn[-1])
+        for model in ("ic", "lt"):
+            est = estimate_spread(chain_graph, [0], model, None, 200, rng_seed=None)
+            assert 0.0 <= est.mean <= chain_graph.node_count
+            assert est == estimate_spread(chain_graph, [0], model, None, 200, rng_seed=drawn[-1])
+        assert len(drawn) == 2
+
     def test_all_nodes_seeded(self, chain_graph):
         est = estimate_spread(chain_graph, [0, 1, 2], "ic", None, 50, rng_seed=1)
         assert est.mean == 3.0 and est.std_error == 0.0

@@ -389,8 +389,8 @@ class TestDegreeDiscount:
             degree_discount(chain_graph, 1, p=1.5)
 
     def test_traced_peak_per_node(self):
-        # d, t and priority (8 B each) and the selected mask (1 B) come to
-        # 25 B/node, and a hub's out-row transients to ~6 more. A heap entry
+        # d, t and priority (8 B each) come to 24 B/node, and a hub's
+        # out-row transients to ~6 more. A heap entry
         # per updated out-neighbor would peak near 220 B/node here.
         g = power_law_graph(100_000, 1_000_000, rng_seed=7)
         tracemalloc.start()
