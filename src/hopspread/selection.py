@@ -15,11 +15,10 @@ current marginal gain. A key is one of three kinds:
   probe would.
 - this round's bound to evaluate (level 0): a probe bound, or in round 0 a
   bootstrap key. A pop gets a full `eval_gain`, from the waiting probe if
-  there is one, and the node goes back with its exact gain at level 1, its
-  report waiting in the same dict.
+  there is one, and the node goes back with its exact gain at level 1.
 - this round's exact gain (level 1): since every other key bounds its
-  node's gain, a pop is the round's best report, and its waiting report
-  is committed as is.
+  node's gain, a pop is the round's best report, and it is committed as
+  is.
 
 A probe costs the gather of an evaluation but not its grouping sort, so it
 spares the sort for the candidates whose probe bound falls below the
@@ -107,6 +106,7 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
     taken = 1
     evaluations = probes = 0
     waiting = {}
+    best = None
     gains = []
     while len(state.seeds) < k:
         _, node, stamp = heapq.heappop(heap)
@@ -118,16 +118,19 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
         if stamp == now + 1:
             # Every other key bounds its node's gain, so this round's exact
             # pop is the round's best report.
-            commit(state, waiting[node])
-            gains.append(waiting[node].gain)
+            commit(state, best)
+            gains.append(best.gain)
+            best = None
             waiting.clear()
         elif stamp < now and hops == 2:
             probe = waiting[node] = probe_gain(state, node)
             probes += 1
             heapq.heappush(heap, (-probe.bound, node, now))
         else:
-            report = waiting[node] = eval_gain(state, waiting.get(node, node))
+            report = eval_gain(state, waiting.pop(node, node))
             evaluations += 1
+            if best is None or (report.gain, -node) > (best.gain, -best.candidate):
+                best = report
             heapq.heappush(heap, (-report.gain, node, now + 1))
     elapsed = time.perf_counter() - t0
     name = ("twohop" if hops == 2 else "onehop") + ("-o" if bootstrap == "none" else "")

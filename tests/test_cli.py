@@ -89,7 +89,7 @@ class TestSelect:
         assert lines[0] == "rank,seed,marginal_gain"
         assert len(lines) == 3
 
-    def test_hops_algo_mismatch_is_config_error(self, chain_file, capsys):
+    def test_select_has_no_hops_flag(self, chain_file, capsys):
         # --algo sets the hop count, so select has no --hops flag.
         assert main(["select", "--graph", chain_file, "--algo", "onehop", "--hops", "2",
                      "--k", "1"]) == 1

@@ -187,6 +187,21 @@ class TestStateAwareBounds:
         assert sum(gathered) == self.C_EDGES[model][bootstrap == "none"]
         assert greedy_celf(g, 50, model=model, hops=1, bootstrap=bootstrap).probes == 0
 
+    @pytest.mark.parametrize("hops", [1, 2])
+    def test_round_zero_keeps_one_report(self, hops):
+        # bootstrap="none" evaluates every node before the first commit. Only
+        # the round's best report is kept: ~160 (one hop) and ~250 (two hops)
+        # B/node here, against ~730 and ~2,400 if every report were kept.
+        g = apply_weight_model(power_law_graph(2000, 20000, rng_seed=7), WeightModel("wc"))
+        tracemalloc.start()
+        try:
+            res = greedy_celf(g, 1, model="ic", hops=hops, bootstrap="none")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.evaluations == g.node_count
+        assert peak / g.node_count <= 500
+
 
 def tied_graph(copies=4, isolated=3):
     """Disjoint copies of one 4-node motif (a 3-cycle through a p = 1 edge
@@ -390,8 +405,8 @@ class TestDegreeDiscount:
 
     def test_traced_peak_per_node(self):
         # d, t and priority (8 B each) come to 24 B/node, and a hub's
-        # out-row transients to ~6 more. A heap entry
-        # per updated out-neighbor would peak near 220 B/node here.
+        # out-row transients to ~6 more. A heap entry per updated
+        # out-neighbor would peak near 220 B/node here.
         g = power_law_graph(100_000, 1_000_000, rng_seed=7)
         tracemalloc.start()
         try:
