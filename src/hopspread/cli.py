@@ -247,15 +247,17 @@ def cmd_bounds(args):
 
 def cmd_alpha_surface(args):
     p_grid, ratio_grid = _parse_grid(args.p_grid, "--p-grid"), _parse_grid(args.ratio_grid, "--ratio-grid")
-    rows = alpha_surface(args.gamma, p_grid, ratio_grid, truncation=args.truncation)
+    try:
+        rows = alpha_surface(args.gamma, p_grid, ratio_grid, truncation=args.truncation)
+    except ValueError as e:  # every input is a flag
+        raise ConfigError(f"--gamma {args.gamma:g} --p-grid {args.p_grid} --ratio-grid {args.ratio_grid} "
+                          f"--truncation {args.truncation}: {e}") from None
     _emit(args, format_surface_csv(rows))
     return 0
 
 
 def cmd_bench(args):
     _check_sim_flags(args)
-    if args.scale != 1.0:
-        raise ConfigError(f"bench sweeps --scales, not --scale: use --scales {args.scale:g}")
     scales = _parse_list(args.scales, float, "--scales")
     ks = _parse_list(args.ks, int, "--ks")
     if min(ks) < 1:
@@ -269,7 +271,9 @@ def cmd_bench(args):
     if (args.graph is None) == (args.synthetic is None):
         raise ConfigError("bench needs exactly one of --graph or --synthetic")
     rng_seed = args.rng_seed if args.rng_seed is not None else fresh_seed()
-    if args.synthetic:
+    if args.synthetic is not None:
+        if args.num_nodes is not None:
+            raise ConfigError("--num-nodes applies to --graph, not to --synthetic")
         parts = args.synthetic.split(",")
         if len(parts) != 3:
             raise ConfigError("--synthetic must be n,m,gamma")
@@ -307,17 +311,19 @@ def cmd_bench(args):
     return 0
 
 
-def _add_graph_flags(p, require_graph=True):
-    p.add_argument("--graph", required=require_graph, help="edge-list file: 'u v' or 'u v p' per line")
+def _add_graph_flags(p, bench=False):
+    p.add_argument("--graph", required=not bench, help="edge-list file: 'u v' or 'u v p' per line")
     p.add_argument("--model", default="wc", help="weight model: wc | tri[:seed] | uniform:<p> | file")
-    p.add_argument("--scale", type=float, default=1.0, help="probability scale factor")
+    if not bench:  # bench sweeps --scales
+        p.add_argument("--scale", type=float, default=1.0, help="probability scale factor")
     p.add_argument("--num-nodes", type=int, default=None, help="force node count (ids taken as dense)")
 
 
-def _add_common_flags(p):
+def _add_common_flags(p, bench=False):
     p.add_argument("--rng-seed", type=int, default=None, help="seed for randomized paths (drawn if omitted)")
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    if not bench:  # bench writes CSV
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser():
@@ -356,10 +362,11 @@ def build_parser():
     p.add_argument("--ratio-grid", default="0:0.5:11", help="comma list or start:stop:count")
     p.add_argument("--truncation", type=int, default=10**6)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_alpha_surface, format="csv")
+    p.set_defaults(func=cmd_alpha_surface)
 
-    p = sub.add_parser("bench", help="timing sweep over algorithms, k, and scale factors")
-    _add_graph_flags(p, require_graph=False)
+    # No abbreviations, or "--scale 2" would be read as "--scales 2".
+    p = sub.add_parser("bench", help="timing sweep over algorithms, k, and scale factors", allow_abbrev=False)
+    _add_graph_flags(p, bench=True)
     p.add_argument("--synthetic", default=None, help="generate a power-law graph: n,m,gamma")
     p.add_argument("--algos", default="onehop,twohop,highdegree,degreediscount")
     p.add_argument("--ks", default="10")
@@ -370,8 +377,8 @@ def build_parser():
     p.add_argument("--n-sims", type=int, default=1000)
     p.add_argument("--hop-limit", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_bench, format="csv")
+    _add_common_flags(p, bench=True)
+    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -231,10 +231,7 @@ def load_edge_list(source, num_nodes=None):
     else:
         data = source.read()
         if isinstance(data, str):
-            try:
-                data = data.encode("utf-8")
-            except UnicodeEncodeError:
-                pass  # a lone surrogate: the line loop names its line
+            data = data.encode("utf-8", "surrogatepass")  # a lone surrogate fails the loop's decode
     edges = _parse_buffer(data)
     src, dst, prob = edges if edges is not None else _parse_lines(data)
     del data, edges
@@ -287,7 +284,7 @@ def _parse_buffer(data):
     being monotone, read as 2^53 or more above it. Such ids, self-loops and
     probabilities above 1 leave the input to the line loop, as None does.
     """
-    first = None if isinstance(data, str) else _FIRST_DATA_LINE.search(data)
+    first = _FIRST_DATA_LINE.search(data)
     columns = len(first.group().split()) if first else 0
     if columns not in (2, 3):
         return None
@@ -395,22 +392,18 @@ def _triple_tokens(window):
 def _parse_lines(data):
     """(src, dst, prob) of an edge list, one line at a time.
 
-    `data` is bytes, or the text of a text file object. This is the
-    reference for `_parse_buffer` and the error locator: the first line that
-    is not UTF-8, not two or three fields, or not a valid edge raises a
-    GraphError naming it.
+    This is the reference for `_parse_buffer` and the error locator: the
+    first line that is not UTF-8, not two or three fields, or not a valid
+    edge raises a GraphError naming it.
     """
     srcs = array("q")
     dsts = array("q")
     probs = array("d")
-    lines = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data, newline="\n")
-    for lineno, raw in enumerate(lines, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise GraphError(f"line {lineno}: byte 0x{raw[e.start]:02x} is not UTF-8") from None
-        line = raw.strip()
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as e:
+            raise GraphError(f"line {lineno}: byte 0x{raw[e.start]:02x} is not UTF-8") from None
         if not line or line.startswith("#"):
             continue
         fields = line.split()
@@ -482,3 +475,13 @@ def validate_lt(g):
     sums = np.bincount(g.out_dst, weights=g.out_prob, minlength=g.node_count)
     bad = np.nonzero(sums > 1.0 + LT_WEIGHT_TOLERANCE)[0]
     return [int(v) for v in bad]
+
+
+def check_model(g, model):
+    """Raise unless `model` is "ic", or "lt" with `g` admissible for it (see
+    `validate_lt`); the error names the first over-weight node by its input id."""
+    if model not in ("ic", "lt"):
+        raise ValueError(f"unknown diffusion model {model!r}")
+    bad = validate_lt(g) if model == "lt" else []
+    if bad:
+        raise GraphError(f"{len(bad)} nodes exceed unit incoming weight (first: {int(g.original_ids[bad[0]])})")

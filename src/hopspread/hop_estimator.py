@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._segments import gather_rows
-from .graph import GraphError, validate_lt
+from .graph import check_model
 
 # Relative slack on probe bounds: a computed gain can sit an ulp above the
 # exact-arithmetic bound.
@@ -111,14 +111,9 @@ class HopState:
     )
 
     def __init__(self, graph, model, hops):
-        if model not in ("ic", "lt"):
-            raise ValueError(f"unknown diffusion model {model!r}")
+        check_model(graph, model)
         if hops not in (1, 2):
             raise ValueError(f"hops must be 1 or 2, got {hops}")
-        if model == "lt":
-            bad = validate_lt(graph)
-            if bad:
-                raise GraphError(f"{len(bad)} nodes exceed unit incoming weight (first: {bad[0]})")
         n = graph.node_count
         self.graph = graph
         self.model = model

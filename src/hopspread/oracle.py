@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._segments import gather_rows, sorted_unique
-from .graph import GraphError, validate_lt
+from .graph import GraphError, check_model
 
 IC_ENUM_EDGE_LIMIT = 22
 LT_ENUM_OUTCOME_LIMIT = 1 << 22
@@ -68,6 +68,13 @@ def _check_hop_limit(hop_limit):
         raise ValueError(f"hop_limit must be >= 0, got {hop_limit}")
 
 
+def _check_run(g, seeds, model, hop_limit):
+    """The seed ids of a diffusion run, once its hop limit, model and seeds pass their checks."""
+    _check_hop_limit(hop_limit)
+    check_model(g, model)
+    return _check_seeds(g, seeds)
+
+
 def _out_rows(g, nodes):
     """Flat out-edge positions of `nodes`, in order, and their probabilities."""
     pos = gather_rows(g.out_indptr, nodes)[0]
@@ -88,8 +95,6 @@ def _cascade(g, seed_ids, model, hop_limit, rng, seed_rows):
         # U(0, 1] thresholds so that P[threshold <= w] = w exactly.
         theta = 1.0 - rng.random(n)
         acc = np.zeros(n)
-    elif model != "ic":
-        raise ValueError(f"unknown diffusion model {model!r}")
     active = np.zeros(n, dtype=bool)
     active[seed_ids] = True
     frontier = seed_ids
@@ -118,8 +123,7 @@ def _cascade(g, seed_ids, model, hop_limit, rng, seed_rows):
 
 def simulate_once(g, seeds, model="ic", hop_limit=None, rng=None):
     """Run one diffusion cascade and return the activated-node count."""
-    _check_hop_limit(hop_limit)
-    seed_ids = _check_seeds(g, seeds)
+    seed_ids = _check_run(g, seeds, model, hop_limit)
     if rng is None:
         rng = np.random.default_rng()
     return _cascade(g, seed_ids, model, hop_limit, rng, _out_rows(g, seed_ids))[-1]
@@ -133,35 +137,34 @@ def _sim_chunk(g, seed_ids, model, hop_limit, rng_seed, lo, hi):
             for i in range(lo, hi)]
 
 
-def estimate_spread(g, seeds, model="ic", hop_limit=None, n_sims=10000, rng_seed=None, workers=1):
-    """Mean spread over independent simulations.
-
-    Simulation i always runs on sub-stream i of the seeded generator, so the
-    result is identical for any worker count; the workers only split the
-    index range.
-    """
+def _simulate(g, seeds, model, hop_limit, n_sims, rng_seed, workers):
+    """Level lists of simulations 0..n_sims-1, simulation i on sub-stream i
+    of `rng_seed` (drawn if None), so they are identical for any worker
+    count; the workers only split the index range."""
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
-    _check_hop_limit(hop_limit)
-    if model not in ("ic", "lt"):
-        raise ValueError(f"unknown diffusion model {model!r}")
-    seed_ids = _check_seeds(g, seeds)
+    seed_ids = _check_run(g, seeds, model, hop_limit)
     if rng_seed is None:
         rng_seed = fresh_seed()
     # A pool forks all its workers at its first submit: cap them to the work and the CPUs.
     workers = min(workers, n_sims, os.cpu_count() or 1)
     if workers <= 1:
-        parts = [_sim_chunk(g, seed_ids, model, hop_limit, rng_seed, 0, n_sims)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # ~2 MiB of RSS that one worker never needs
-        bounds = np.linspace(0, n_sims, workers + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                _sim_chunk,
-                *zip(*[(g, seed_ids, model, hop_limit, rng_seed, int(lo), int(hi))
-                       for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]),
-            ))
-    counts = np.array([levels[-1] for part in parts for levels in part], dtype=float)
+        return _sim_chunk(g, seed_ids, model, hop_limit, rng_seed, 0, n_sims)
+    from concurrent.futures import ProcessPoolExecutor  # ~2 MiB of RSS that one worker never needs
+    bounds = np.linspace(0, n_sims, workers + 1, dtype=int)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(
+            _sim_chunk,
+            *zip(*[(g, seed_ids, model, hop_limit, rng_seed, int(lo), int(hi))
+                   for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]),
+        )
+        return [levels for part in parts for levels in part]
+
+
+def estimate_spread(g, seeds, model="ic", hop_limit=None, n_sims=10000, rng_seed=None, workers=1):
+    """Mean spread over independent simulations, identical for any worker count."""
+    runs = _simulate(g, seeds, model, hop_limit, n_sims, rng_seed, workers)
+    counts = np.array([levels[-1] for levels in runs], dtype=float)
     mean = float(counts.mean())
     se = float(counts.std(ddof=1) / np.sqrt(n_sims)) if n_sims > 1 else 0.0
     return SpreadEstimate(mean=mean, simulations=n_sims, std_error=se, hop_limit=hop_limit)
@@ -174,17 +177,9 @@ def estimate_hop_profile(g, seeds, model="ic", n_sims=1000, rng_seed=None):
     active within h hops; the last entry is the unlimited-hop spread. Within
     one sample the counts are non-decreasing in h by construction.
     """
-    if n_sims < 1:
-        raise ValueError("n_sims must be >= 1")
-    seed_ids = _check_seeds(g, seeds)
-    if rng_seed is None:
-        rng_seed = fresh_seed()
-    profiles = _sim_chunk(g, seed_ids, model, None, rng_seed, 0, n_sims)
-    depth = max(len(p) for p in profiles)
-    table = np.empty((n_sims, depth))
-    for i, p in enumerate(profiles):
-        table[i, : len(p)] = p
-        table[i, len(p):] = p[-1]
+    profiles = _simulate(g, seeds, model, None, n_sims, rng_seed, 1)
+    depth = max(map(len, profiles))
+    table = np.array([p + p[-1:] * (depth - len(p)) for p in profiles], dtype=float)
     means = table.mean(axis=0)
     ses = table.std(axis=0, ddof=1) / np.sqrt(n_sims) if n_sims > 1 else np.zeros(depth)
     return means, ses
@@ -210,9 +205,7 @@ def _outcome_chunks(g, model):
             outcomes = np.arange(lo, min(lo + _ENUM_CHUNK, total), dtype=np.uint64)
             live = ((outcomes >> np.arange(m, dtype=np.uint64)[:, None]) & 1).astype(bool)
             yield src, g.out_dst, np.where(live, p, 1.0 - p).prod(axis=0), live
-    elif model == "lt":
-        if validate_lt(g):
-            raise GraphError("graph is not admissible for threshold diffusion")
+    else:  # lt, with every in-weight sum checked to be at most 1
         indeg = g.in_degrees().astype(np.int64)
         space = 1
         for d in indeg:
@@ -236,8 +229,6 @@ def _outcome_chunks(g, model):
             outcomes = np.arange(lo, min(lo + _ENUM_CHUNK, space), dtype=np.int64)
             choice = (outcomes // strides[:, None]) % (indeg + 1)[:, None]
             yield src, g.out_dst, choice_p[first + choice].prod(axis=0), choice[g.out_dst] == slot[:, None]
-    else:
-        raise ValueError(f"unknown diffusion model {model!r}")
 
 
 def _propagate(bits, src, dst, live, hop_limit):
@@ -266,8 +257,7 @@ def exact_spread(g, seeds, model="ic", hop_limit=None):
     Feasible only on tiny instances: 2^|E| outcomes under the cascade model,
     the product of (in-degree + 1) choices under the threshold model.
     """
-    _check_hop_limit(hop_limit)
-    seed_ids = _check_seeds(g, seeds)
+    seed_ids = _check_run(g, seeds, model, hop_limit)
     n = g.node_count
     if n == 0 or len(seed_ids) == 0:
         return 0.0
@@ -293,6 +283,7 @@ class ExactSpreadTable:
 
     def __init__(self, g, model="ic", hop_limit=None):
         _check_hop_limit(hop_limit)
+        check_model(g, model)
         n = g.node_count
         if n > 20:
             raise ValueError("instance too large for subset spread table")

@@ -180,7 +180,11 @@ class TestSelect:
             (["bench", "--graph", "g.txt", "--model", "file", "--scales", "inf", "--algos", "highdegree", "--ks", "1"],
              "--scales inf"),
             (["bench", "--graph", "g.txt", "--model", "file", "--scale", "5", "--algos", "highdegree", "--ks", "1"],
-             "use --scales 5"),
+             "unrecognized arguments: --scale 5"),
+            (["bench", "--graph", "g.txt", "--format", "json", "--algos", "highdegree", "--ks", "1"],
+             "unrecognized arguments: --format json"),
+            (["bench", "--synthetic", "50,200,2.5", "--num-nodes", "7", "--algos", "highdegree"],
+             "--num-nodes applies to --graph, not to --synthetic"),
             (["alpha-surface", "--p-grid", "a:b:3"], "--p-grid: 'a'"),
             (["alpha-surface", "--p-grid", "0:1:x"], "--p-grid: 'x'"),
             (["alpha-surface", "--ratio-grid", "a:b:3"], "--ratio-grid: 'a'"),
@@ -188,14 +192,23 @@ class TestSelect:
             (["bench", "--graph", "g.txt", "--ks", "x"], "--ks: 'x'"),
             (["bench", "--graph", "g.txt", "--scales", "y"], "--scales: 'y'"),
             (["bench", "--synthetic", "60,x,2.5"], "--synthetic: 'x'"),
+            (["bench", "--synthetic", ""], "--synthetic must be n,m,gamma"),
             (["bench", "--synthetic", "60,200,1.0", "--algos", "highdegree"], "--synthetic 60,200,1.0: gamma"),
             (["select", "--graph", "g.txt", "--dd-p", "2", "--algo", "degreediscount", "--k", "1"], "--dd-p"),
             (["bench", "--graph", "g.txt", "--algos", "highdegree", "--ks", "0"], "--ks"),
             (["bounds", "--graph", "g.txt", "--hops", "-1"], "--hops"),
+            (["alpha-surface", "--gamma", "2"], "--gamma 2"),
+            (["alpha-surface", "--gamma", "0.5"], "--gamma 0.5"),
+            (["alpha-surface", "--gamma", "60"], "--gamma 60"),
+            (["alpha-surface", "--p-grid", "0,1.5"], "--p-grid 0,1.5"),
+            (["alpha-surface", "--ratio-grid", "0,2"], "--ratio-grid 0,2"),
+            (["alpha-surface", "--truncation", "999"], "--truncation 999"),
         ],
-        ids=["model", "scale", "hop-limit", "bench-scales", "bench-scale", "p-grid-bounds", "p-grid-count",
-             "ratio-grid-bounds", "ratio-grid-count", "bench-ks", "bench-scales-number", "synthetic-m",
-             "synthetic-gamma", "dd-p", "bench-ks-zero", "bounds-hops"],
+        ids=["model", "scale", "hop-limit", "bench-scales", "bench-scale", "bench-format", "bench-num-nodes",
+             "p-grid-bounds", "p-grid-count", "ratio-grid-bounds", "ratio-grid-count", "bench-ks",
+             "bench-scales-number", "synthetic-m", "synthetic-empty", "synthetic-gamma", "dd-p", "bench-ks-zero",
+             "bounds-hops", "gamma-2", "gamma-0.5", "gamma-60", "p-grid-range", "ratio-grid-range",
+             "truncation-low"],
     )
     def test_bad_flag_value_is_config_error_naming_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)
@@ -215,6 +228,20 @@ class TestSelect:
         assert main(["select", "--graph", str(path), "--num-nodes", "4", "--algo", "highdegree",
                      "--k", "4", "--out", str(out)]) == 0
         assert sorted(read_json(out)["seeds"]) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["evaluate", "--seeds-file", "seeds.txt"], ["select", "--algo", "twohop", "--k", "1"],
+     ["bench", "--algos", "highdegree", "--ks", "1", "--n-sims", "5"]],
+    ids=["evaluate", "select", "bench"],
+)
+def test_overweight_lt_graph_is_data_error_naming_input_id(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("10 40\n20 40\n30 40\n")
+    (tmp_path / "seeds.txt").write_text("10\n")
+    assert main([*argv, "--graph", "g.txt", "--model", "uniform:0.5", "--diffusion", "lt"]) == 2
+    assert "1 nodes exceed unit incoming weight (first: 40)" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -409,7 +436,7 @@ class TestAlphaSurface:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 2 and elapsed < 1.0 and peak < 1 << 20
+        assert code == 1 and elapsed < 1.0 and peak < 1 << 20
         assert "truncation" in capsys.readouterr().err
 
 

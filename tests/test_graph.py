@@ -401,7 +401,7 @@ class TestFastParseMatchesLineLoop:
         assert list(g.original_ids) == [10, 20, 30] and list(g.out_prob) == [0.5, 0.25]
 
     def test_text_with_lone_surrogate_reports_line(self):
-        with pytest.raises(GraphError, match="line 2: non-integer node id"):
+        with pytest.raises(GraphError, match="line 2: byte 0xed is not UTF-8"):
             load_edge_list(io.StringIO("0 1\n1\ud800 2\n"))
 
     def test_non_integer_id_falls_back_to_the_loop(self):

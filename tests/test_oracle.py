@@ -13,7 +13,8 @@ import pytest
 from conftest import random_ic_graph, random_lt_graph, reference_cascade
 from hopspread import oracle
 from hopspread.generate import power_law_graph
-from hopspread.graph import Graph, GraphError, WeightModel, apply_weight_model
+from hopspread.graph import Graph, GraphError, WeightModel, apply_weight_model, load_edge_list
+from hopspread.hop_estimator import HopState, init_state
 from hopspread.oracle import (
     ExactSpreadTable,
     brute_force_optimal,
@@ -22,10 +23,35 @@ from hopspread.oracle import (
     exact_spread,
     simulate_once,
 )
+from hopspread.selection import greedy_celf, greedy_naive
 
 
 def certain_chain():
     return Graph(3, [0, 1], [1, 2], [1.0, 1.0])
+
+
+@pytest.fixture
+def stub_pool(monkeypatch):
+    """The pool sizes asked for, on 8 CPUs, with a process pool that maps
+    in-process: no process starts."""
+    sizes = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 8)
+    return sizes
 
 
 class TestSimulateOnce:
@@ -94,25 +120,8 @@ class TestEstimateSpread:
             b = estimate_spread(chain_graph, [0], model, None, 400, rng_seed=5, workers=2)
             assert a.mean == b.mean and a.std_error == b.std_error
 
-    def test_pool_is_capped_by_simulations_and_cpus(self, chain_graph, monkeypatch):
-        # The stub records the pool size and maps in-process: no process starts.
-        sizes = []
-
-        class StubPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 8)
+    def test_pool_is_capped_by_simulations_and_cpus(self, chain_graph, monkeypatch, stub_pool):
+        sizes = stub_pool
         for model in ("ic", "lt"):
             one = estimate_spread(chain_graph, [0], model, None, 3, rng_seed=5, workers=1)
             assert sizes == []
@@ -193,6 +202,42 @@ class TestEstimateSpread:
         fast = run()
         monkeypatch.setattr(oracle, "sorted_unique", np.unique)
         assert run() == fast
+
+
+RUN_ENTRY_POINTS = {
+    "init_state": lambda g, model: init_state(g, model, 2),
+    "HopState": lambda g, model: HopState(g, model, 1),
+    "greedy_celf": lambda g, model: greedy_celf(g, 1, model=model),
+    "greedy_naive": lambda g, model: greedy_naive(g, 1, model=model),
+    "simulate_once": lambda g, model: simulate_once(g, [0], model, None, np.random.default_rng(0)),
+    "estimate_spread": lambda g, model: estimate_spread(g, [0], model, None, 10, rng_seed=1),
+    "estimate_spread-workers-4": lambda g, model: estimate_spread(g, [0], model, None, 10, rng_seed=1, workers=4),
+    "estimate_hop_profile": lambda g, model: estimate_hop_profile(g, [0], model, n_sims=10, rng_seed=1),
+    "exact_spread": lambda g, model: exact_spread(g, [0], model),
+    "exact_spread-no-seeds": lambda g, model: exact_spread(g, [], model),
+    "ExactSpreadTable": lambda g, model: ExactSpreadTable(g, model),
+    "brute_force_optimal": lambda g, model: brute_force_optimal(g, 1, model),
+}
+
+
+class TestRunContract:
+    """Every entry point that runs a diffusion model refuses an unknown model
+    and an LT graph with a node over unit in-weight, with the same error."""
+
+    @pytest.mark.parametrize("call", RUN_ENTRY_POINTS.values(), ids=RUN_ENTRY_POINTS.keys())
+    @pytest.mark.parametrize(
+        "model, error, message",
+        [("sir", ValueError, r"^unknown diffusion model 'sir'$"),
+         ("lt", GraphError, r"^1 nodes exceed unit incoming weight \(first: 40\)$")],
+        ids=["unknown-model", "overweight-lt"],
+    )
+    def test_same_error_at_every_entry_point(self, stub_pool, call, model, error, message):
+        # Input ids 10, 20 and 30 each give 40 weight 0.5: it takes 1.5.
+        g = apply_weight_model(load_edge_list(b"10 40\n20 40\n30 40\n"), WeightModel("uniform", p=0.5))
+        with pytest.raises(ValueError, match=message) as raised:
+            call(g, model)
+        assert type(raised.value) is error
+        assert stub_pool == []  # refused before a pool starts
 
 
 def stream_graph():
