@@ -14,7 +14,7 @@ from .analysis import (
     one_hop_expected_lb,
     solve_expected_fraction,
 )
-from .bounds import UpperBounds, upper_bounds
+from .bounds import upper_bounds
 from .generate import power_law_graph, power_law_in_degree_graph
 from .graph import Graph, GraphError, WeightModel, apply_weight_model, load_edge_list, validate_lt
 from .hop_estimator import (
@@ -54,7 +54,6 @@ __all__ = [
     "SeedResult",
     "SpreadEstimate",
     "StaleReportError",
-    "UpperBounds",
     "WeightModel",
     "alpha_lower_bound",
     "alpha_surface",

@@ -17,26 +17,16 @@ fall with h, so bound(n) dominates it for every h >= n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._segments import segment_sum
 
 
-@dataclass(frozen=True)
-class UpperBounds:
-    """Dominating estimate of sigma_h({v}) for every node v."""
-
-    h: int
-    values: np.ndarray
-
-
 def upper_bounds(g, h):
-    """The single-seed bounds at hop count h, in a new array per call."""
+    """Single-seed bounds at hop count h: entry v of a new float64 array bounds sigma_h({v})."""
     if h < 0:
         raise ValueError("hop count must be non-negative")
     values = np.ones(g.node_count)
     for i in range(min(h, g.node_count)):  # level 1 sums out_prob itself: values is all ones
         values = 1.0 + segment_sum(g.out_prob * values[g.out_dst] if i else g.out_prob, g.out_indptr)
-    return UpperBounds(h=h, values=values)
+    return values

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -23,7 +22,9 @@ from .graph import GraphError, WeightModel, apply_weight_model, load_edge_list
 from .oracle import estimate_spread, fresh_seed
 from .selection import degree_discount, greedy_celf, high_degree
 
-ALGORITHMS = ("onehop", "twohop", "twohop-o", "highdegree", "degreediscount")
+# The hop count of each greedy algorithm; the rest are degree heuristics.
+HOPS = {"onehop": 1, "twohop": 2, "twohop-o": 2}
+ALGORITHMS = (*HOPS, "highdegree", "degreediscount")
 
 
 class ConfigError(Exception):
@@ -98,9 +99,8 @@ def _select_once(g, algo, k, diffusion, dd_p, degree_kind):
         if not 0.0 <= dd_p <= 1.0:
             raise ConfigError(f"--dd-p must be in [0, 1], got {dd_p:g}")
         return degree_discount(g, k, p=dd_p)
-    hops = 1 if algo == "onehop" else 2
     bootstrap = "none" if algo == "twohop-o" else "upper_bounds"
-    return greedy_celf(g, k, model=diffusion, hops=hops, bootstrap=bootstrap)
+    return greedy_celf(g, k, model=diffusion, hops=HOPS[algo], bootstrap=bootstrap)
 
 
 def cmd_select(args):
@@ -111,7 +111,7 @@ def cmd_select(args):
     original = [int(g.original_ids[v]) for v in result.seeds]
     payload = {
         "command": "select",
-        "algorithm": result.algorithm,
+        "algorithm": args.algo,
         "k": args.k,
         "seeds": original,
         "marginal_gains": result.marginal_gains,
@@ -124,7 +124,7 @@ def cmd_select(args):
             "model": model_text,
             "scale": args.scale,
             "diffusion": args.diffusion,
-            "hops": result.hops,
+            "hops": HOPS.get(args.algo),
             "num_nodes": args.num_nodes,
         },
     }
@@ -205,9 +205,9 @@ def cmd_evaluate(args):
     payload = {
         "command": "evaluate",
         "mean": est.mean,
-        "simulations": est.simulations,
+        "simulations": args.n_sims,
         "std_error": est.std_error,
-        "hop_limit": est.hop_limit,
+        "hop_limit": args.hop_limit,
         "rng_seed": rng_seed,
         "seeds": original,
         "config": {
@@ -221,7 +221,7 @@ def cmd_evaluate(args):
     if args.format == "json":
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
-        _emit(args, "mean,simulations,std_error\n" f"{est.mean},{est.simulations},{est.std_error}\n")
+        _emit(args, "mean,simulations,std_error\n" f"{est.mean},{args.n_sims},{est.std_error}\n")
     return 0
 
 
@@ -234,13 +234,13 @@ def cmd_bounds(args):
         payload = {
             "command": "bounds",
             "hops": args.hops,
-            "bounds": [[int(g.original_ids[v]), float(ub.values[v])] for v in range(g.node_count)],
+            "bounds": [[int(g.original_ids[v]), float(ub[v])] for v in range(g.node_count)],
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
         lines = ["node,bound"]
         for v in range(g.node_count):
-            lines.append(f"{int(g.original_ids[v])},{ub.values[v]:.10g}")
+            lines.append(f"{int(g.original_ids[v])},{ub[v]:.10g}")
         _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -271,6 +271,8 @@ def cmd_bench(args):
     if (args.graph is None) == (args.synthetic is None):
         raise ConfigError("bench needs exactly one of --graph or --synthetic")
     rng_seed = args.rng_seed if args.rng_seed is not None else fresh_seed()
+    models = [_weight_model(argparse.Namespace(model=args.model, rng_seed=rng_seed, scale=scale), "--scales")[0]
+              for scale in scales]
     if args.synthetic is not None:
         if args.num_nodes is not None:
             raise ConfigError("--num-nodes applies to --graph, not to --synthetic")
@@ -285,14 +287,11 @@ def cmd_bench(args):
     else:
         base = load_edge_list(args.graph, num_nodes=args.num_nodes)
     lines = ["algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds,probes"]
-    for scale in scales:
-        model, _ = _weight_model(argparse.Namespace(model=args.model, rng_seed=rng_seed, scale=scale), "--scales")
+    for scale, model in zip(scales, models):
         g = apply_weight_model(base, model)
         for algo in algos:
             for k in ks:
-                t0 = time.perf_counter()
                 result = _select_once(g, algo, k, args.diffusion, args.dd_p, args.degree_kind)
-                seconds = time.perf_counter() - t0
                 est = estimate_spread(
                     g,
                     result.seeds,
@@ -304,7 +303,7 @@ def cmd_bench(args):
                 )
                 seed_text = ";".join(str(int(g.original_ids[v])) for v in result.seeds)
                 lines.append(
-                    f"{result.algorithm},{k},{scale:.10g},{seconds:.6f},{result.evaluations},{est.mean:.10g},{seed_text},"
+                    f"{algo},{k},{scale:.10g},{result.elapsed:.6f},{result.evaluations},{est.mean:.10g},{seed_text},"
                     f"{result.probes}"
                 )
     _emit(args, "\n".join(lines) + "\n")

@@ -65,13 +65,13 @@ def power_law_graph(n, m, gamma=2.3, rng_seed=0):
     return Graph(n, src, dst, np.zeros(len(src)))
 
 
-def power_law_in_degree_graph(n, gamma=3.0, rng_seed=0, max_degree=None):
+def power_law_in_degree_graph(n, gamma=3.0, rng_seed=0):
     """Directed graph whose in-degrees are power-law distributed, minimum 1."""
     n = int(n)
     if n < 2:
         raise ValueError("need at least 2 nodes")
     rng = _rng(rng_seed)
-    dmax = min(n - 1, max_degree if max_degree is not None else 1000)
+    dmax = min(n - 1, 1000)
     degrees = np.arange(1, dmax + 1, dtype=np.float64)
     pmf = degrees ** (-gamma)
     pmf /= pmf.sum()

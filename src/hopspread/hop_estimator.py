@@ -125,9 +125,6 @@ class HopState:
         self.sigma = 0.0
         self.version = 0
 
-    def spread(self):
-        return self.sigma
-
     def activation(self):
         """Current per-node activation probability at the state's hop count."""
         q = self.q2 if self.hops == 2 else self.q1

@@ -40,9 +40,7 @@ class SpreadEstimate:
     """Monte-Carlo spread estimate with a standard error."""
 
     mean: float
-    simulations: int
     std_error: float
-    hop_limit: int | None
 
 
 def fresh_seed():
@@ -167,7 +165,7 @@ def estimate_spread(g, seeds, model="ic", hop_limit=None, n_sims=10000, rng_seed
     counts = np.array([levels[-1] for levels in runs], dtype=float)
     mean = float(counts.mean())
     se = float(counts.std(ddof=1) / np.sqrt(n_sims)) if n_sims > 1 else 0.0
-    return SpreadEstimate(mean=mean, simulations=n_sims, std_error=se, hop_limit=hop_limit)
+    return SpreadEstimate(mean=mean, std_error=se)
 
 
 def estimate_hop_profile(g, seeds, model="ic", n_sims=1000, rng_seed=None):

@@ -60,17 +60,15 @@ from .hop_estimator import BOUND_SLACK, commit, eval_gain, init_state, probe_gai
 
 @dataclass(frozen=True)
 class SeedResult:
-    """Selected seeds in pick order with bookkeeping for benchmarks."""
+    """Selected seeds in pick order with bookkeeping for benchmarks; the
+    degree heuristics compute no spread and leave it None."""
 
     seeds: list[int]
     marginal_gains: list[float]
-    algorithm: str
     elapsed: float
     evaluations: int
-    spread: float = 0.0
+    spread: float | None = None
     probes: int = 0
-    hops: int | None = None
-    model: str | None = None
 
 
 def _check_k(g, k):
@@ -95,7 +93,7 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
     if bootstrap == "none":
         neg = np.full(n, -math.inf)
     else:
-        ub = upper_bounds(g, hops).values
+        ub = upper_bounds(g, hops)
         neg = -(ub + BOUND_SLACK * np.maximum(ub, 1.0))
     # The largest key pops first, ties toward the smaller id (the sort is
     # stable). Round 0's keys are level 0 (stamp 0), and taken nodes go back
@@ -133,16 +131,12 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
                 best = report
             heapq.heappush(heap, (-report.gain, node, now + 1))
     elapsed = time.perf_counter() - t0
-    name = ("twohop" if hops == 2 else "onehop") + ("-o" if bootstrap == "none" else "")
     return SeedResult(
         seeds=state.seeds,
         marginal_gains=gains,
-        algorithm=name,
         elapsed=elapsed,
         evaluations=evaluations,
-        spread=state.spread(),
-        hops=hops,
-        model=model,
+        spread=state.sigma,
         probes=probes,
     )
 
@@ -174,12 +168,9 @@ def greedy_naive(g, k, model="ic", hops=2):
     return SeedResult(
         seeds=seeds,
         marginal_gains=gains,
-        algorithm=f"naive-{'twohop' if hops == 2 else 'onehop'}",
         elapsed=elapsed,
         evaluations=evaluations,
-        spread=state.spread(),
-        hops=hops,
-        model=model,
+        spread=state.sigma,
     )
 
 
@@ -200,7 +191,6 @@ def high_degree(g, k, degree="out"):
     return SeedResult(
         seeds=seeds,
         marginal_gains=[],
-        algorithm="highdegree",
         elapsed=time.perf_counter() - t0,
         evaluations=0,
     )
@@ -236,7 +226,6 @@ def degree_discount(g, k, p=0.01):
     return SeedResult(
         seeds=seeds,
         marginal_gains=[],
-        algorithm="degreediscount",
         elapsed=time.perf_counter() - t0,
         evaluations=0,
     )

@@ -184,7 +184,7 @@ def reference_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
     if bootstrap == "none":
         bounds = [math.inf] * g.node_count
     else:
-        ub = upper_bounds(g, hops).values
+        ub = upper_bounds(g, hops)
         bounds = (ub + BOUND_SLACK * np.maximum(ub, 1.0)).tolist()
     # The largest key pops first, ties toward the smaller id; the bootstrap
     # keys are round 0's bounds to evaluate (level 0).
@@ -217,16 +217,12 @@ def reference_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
                 best = report
             heapq.heappush(heap, (-report.gain, node, now + 1))
     elapsed = time.perf_counter() - t0
-    name = ("twohop" if hops == 2 else "onehop") + ("-o" if bootstrap == "none" else "")
     return SeedResult(
         seeds=seeds,
         marginal_gains=gains,
-        algorithm=name,
         elapsed=elapsed,
         evaluations=evaluations,
-        spread=state.spread(),
-        hops=hops,
-        model=model,
+        spread=state.sigma,
         probes=probes,
     )
 

@@ -93,8 +93,8 @@ def test_criterion_03_upper_bound_dominance():
     worst_margin = np.inf
     for _ in range(100):
         g = random_ic_graph(rng, n_max=30, m_max=90, p_one_frac=0.15)
-        ub1 = upper_bounds(g, 1).values
-        ub2 = upper_bounds(g, 2).values
+        ub1 = upper_bounds(g, 1)
+        ub2 = upper_bounds(g, 2)
         s1 = init_state(g, "ic", 1)
         s2 = init_state(g, "ic", 2)
         for v in range(g.node_count):
@@ -116,8 +116,8 @@ def test_criterion_03_lt_upper_bound_dominance():
         pairs = set(zip(src.tolist(), g.out_dst.tolist()))
         unit_edges += int((g.out_prob == 1.0).sum())
         two_cycles += sum((v, u) in pairs for u, v in pairs) // 2
-        ub1 = upper_bounds(g, 1).values
-        ub2 = upper_bounds(g, 2).values
+        ub1 = upper_bounds(g, 1)
+        ub2 = upper_bounds(g, 2)
         s1 = init_state(g, "lt", 1)
         s2 = init_state(g, "lt", 2)
         for v in range(g.node_count):

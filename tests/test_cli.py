@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hopspread import cli
 from hopspread.cli import main
 from hopspread.generate import power_law_graph
 from hopspread.graph import WeightModel, apply_weight_model
@@ -96,11 +97,15 @@ class TestSelect:
         assert "unrecognized arguments: --hops 2" in capsys.readouterr().err
 
     def test_config_reports_the_hop_count_of_the_algorithm(self, chain_file, tmp_path):
+        # The degree heuristics have no hop count and compute no spread.
         out = tmp_path / "sel.json"
-        for algo, hops in (("onehop", 1), ("twohop", 2), ("twohop-o", 2), ("highdegree", None)):
+        for algo, hops in (("onehop", 1), ("twohop", 2), ("twohop-o", 2), ("highdegree", None),
+                           ("degreediscount", None)):
             assert main(["select", "--graph", chain_file, "--model", "file", "--algo", algo,
                          "--k", "1", "--out", str(out)]) == 0
-            assert read_json(out)["config"]["hops"] == hops
+            payload = read_json(out)
+            assert (payload["algorithm"], payload["config"]["hops"]) == (algo, hops)
+            assert (payload["spread"] is None) == (hops is None)
 
     def test_tri_without_rng_seed_records_and_replays_its_seed(self, tmp_path):
         graph = tmp_path / "g.txt"
@@ -448,7 +453,8 @@ class TestBench:
                      "--rng-seed", "5", "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds,probes"
-        assert len(lines) == 1 + 2 * 2 * 2
+        # One row per scale, algorithm and k, in that nesting.
+        assert [line.split(",")[0] for line in lines[1:]] == ["onehop", "onehop", "highdegree", "highdegree"] * 2
 
     @staticmethod
     def assert_twohop_variants_agree(tmp_path, diffusion):
@@ -478,6 +484,20 @@ class TestBench:
     def test_needs_exactly_one_source(self, chain_file):
         assert main(["bench", "--ks", "1"]) == 1
         assert main(["bench", "--graph", chain_file, "--synthetic", "50,100,2.5", "--ks", "1"]) == 1
+
+    def test_checks_model_and_scales_before_any_work(self, chain_file, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bench did work before checking its flags")
+
+        for name in ("power_law_graph", "load_edge_list", "estimate_spread"):
+            monkeypatch.setattr(cli, name, refuse)
+        synthetic = ["bench", "--synthetic", "300,1500,2.5", "--algos", "twohop,highdegree", "--ks", "5",
+                     "--n-sims", "10"]
+        for argv, message in ((synthetic + ["--scales", "1.0,nan"], "--scales nan"),
+                              (synthetic + ["--model", "bogus"], "--model bogus"),
+                              (["bench", "--graph", chain_file, "--scales", "nan"], "--scales nan")):
+            assert main(argv) == 1
+            assert message in capsys.readouterr().err
 
 
 class TestSubprocess:

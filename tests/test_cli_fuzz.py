@@ -138,7 +138,8 @@ def case(rng, tmp_path, i):
                 "--ks", draw(["1", "1,2"], ["0", "x", ""]), "--scales", draw(["1.0", "1.0,0.5"], ["-1", "nan"]),
                 "--rng-seed", str(rng.randrange(1000))]
         argv += draw.flag("--diffusion", ["ic", "lt"]) + draw.flag("--hop-limit", [1, 2], [-1], 0.3)
-        argv += draw.flag("--scale", [1.0], [2.0], 0.1)
+        if rng.random() < draw.hostile:  # bench sweeps --scales and has no --scale
+            argv += ["--scale", rng.choice(["1.0", "2.0"])]
         fmt = []
     out = [] if rng.random() < 0.3 else ["--out", str(tmp_path / f"out{i}")]
     return argv + fmt + out, command
@@ -191,11 +192,11 @@ def test_cli_fuzz(tmp_path, capsys, chunk):
         t0 = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - t0
-        printed = capsys.readouterr().out
+        printed, errors = capsys.readouterr()
         assert code in (0, 1, 2), argv
         assert elapsed < 1.0, (argv, elapsed)
-        if "--hops" in argv and command == "select":
-            assert code == 1, argv
+        if ("--hops" in argv and command == "select") or ("--scale" in argv and command == "bench"):
+            assert code == 1 and "unrecognized arguments" in errors, (argv, errors)
         if code != 0:
             continue
         succeeded += 1

@@ -631,7 +631,7 @@ class TestProbe:
             s = init_state(g, model, 2)
             bound = np.array([probe_gain(s, u).bound for u in range(g.node_count)])
             # At S = {} every bound is at least 1, so the slack is BOUND_SLACK * bound.
-            np.testing.assert_allclose(bound / (1.0 + BOUND_SLACK), upper_bounds(g, 2).values, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(bound / (1.0 + BOUND_SLACK), upper_bounds(g, 2), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("hops", [1, 2])
     def test_probe_evaluates_to_the_node_report(self, hops):

@@ -257,7 +257,7 @@ class TestFrontierMatchesAllNodeHeap:
     def test_tied_graph_ties_bounds(self):
         g = tied_graph()
         for hops in (1, 2):
-            ub = upper_bounds(g, hops).values
+            ub = upper_bounds(g, hops)
             assert len(np.unique(ub)) <= 4
             # The four sinks and three isolated nodes share the smallest bound.
             assert np.count_nonzero(ub == ub.min()) == 4 + 3
