@@ -92,12 +92,15 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _check_dd_p(dd_p, algos):
+    if "degreediscount" in algos and not 0.0 <= dd_p <= 1.0:
+        raise ConfigError(f"--dd-p must be in [0, 1], got {dd_p:g}")
+
+
 def _select_once(g, algo, k, diffusion, dd_p, degree_kind):
     if algo == "highdegree":
         return high_degree(g, k, degree=degree_kind)
     if algo == "degreediscount":
-        if not 0.0 <= dd_p <= 1.0:
-            raise ConfigError(f"--dd-p must be in [0, 1], got {dd_p:g}")
         return degree_discount(g, k, p=dd_p)
     bootstrap = "none" if algo == "twohop-o" else "upper_bounds"
     return greedy_celf(g, k, model=diffusion, hops=HOPS[algo], bootstrap=bootstrap)
@@ -106,6 +109,7 @@ def _select_once(g, algo, k, diffusion, dd_p, degree_kind):
 def cmd_select(args):
     if args.k < 1:
         raise ConfigError("--k must be at least 1")
+    _check_dd_p(args.dd_p, [args.algo])
     g, model_text = _load_weighted(args)
     result = _select_once(g, args.algo, args.k, args.diffusion, args.dd_p, args.degree_kind)
     original = [int(g.original_ids[v]) for v in result.seeds]
@@ -268,6 +272,7 @@ def cmd_bench(args):
     for a in algos:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}")
+    _check_dd_p(args.dd_p, algos)
     if (args.graph is None) == (args.synthetic is None):
         raise ConfigError("bench needs exactly one of --graph or --synthetic")
     rng_seed = args.rng_seed if args.rng_seed is not None else fresh_seed()

@@ -60,8 +60,7 @@ from .hop_estimator import BOUND_SLACK, commit, eval_gain, init_state, probe_gai
 
 @dataclass(frozen=True)
 class SeedResult:
-    """Selected seeds in pick order with bookkeeping for benchmarks; the
-    degree heuristics compute no spread and leave it None."""
+    """Seeds in pick order with bookkeeping; the degree heuristics leave spread None."""
 
     seeds: list[int]
     marginal_gains: list[float]

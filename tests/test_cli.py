@@ -495,6 +495,7 @@ class TestBench:
                      "--n-sims", "10"]
         for argv, message in ((synthetic + ["--scales", "1.0,nan"], "--scales nan"),
                               (synthetic + ["--model", "bogus"], "--model bogus"),
+                              (synthetic + ["--algos", "twohop,degreediscount", "--dd-p", "2"], "--dd-p"),
                               (["bench", "--graph", chain_file, "--scales", "nan"], "--scales nan")):
             assert main(argv) == 1
             assert message in capsys.readouterr().err
