@@ -40,12 +40,6 @@ class ScaleFreeParams:
             raise ValueError(f"truncation must be in [1000, 10^7], got {self.truncation}")
 
 
-@lru_cache(maxsize=64)
-def _norm(exponent, truncation):
-    """Truncated sum of d^exponent for d = 1..truncation."""
-    return float(np.power(np.arange(1, truncation + 1, dtype=np.float64), exponent).sum())
-
-
 @lru_cache(maxsize=16)
 def _pmf(exponent, truncation):
     d = np.arange(1, truncation + 1, dtype=np.float64)
@@ -65,13 +59,13 @@ def _exponent(params, which):
 
 
 def degree_dist(params, which, d):
-    """P0(d) or P1(d) under the truncated power law."""
+    """P0(d) or P1(d) under the truncated power law, for an integer degree d."""
     if d < 1:
         raise ValueError("degree must be at least 1")
     exp = _exponent(params, which)
     if d > params.truncation:
         return 0.0
-    return float(d**exp) / _norm(exp, params.truncation)
+    return float(_pmf(exp, params.truncation)[d - 1])
 
 
 def truncation_tail(params, which="p0"):
@@ -79,7 +73,7 @@ def truncation_tail(params, which="p0"):
     exp = _exponent(params, which)
     d0 = float(params.truncation)
     tail = d0 ** (exp + 1.0) / (-exp - 1.0)
-    return tail / _norm(exp, params.truncation)
+    return tail * float(_pmf(exp, params.truncation)[0])
 
 
 def alpha_lower_bound(params):

@@ -25,6 +25,7 @@ from .selection import degree_discount, greedy_celf, high_degree
 # The hop count of each greedy algorithm; the rest are degree heuristics.
 HOPS = {"onehop": 1, "twohop": 2, "twohop-o": 2}
 ALGORITHMS = (*HOPS, "highdegree", "degreediscount")
+GRID_MAX = 1000  # values per alpha-surface axis: a surface of 10^6 points takes ~4 s and ~330 MiB on 2 vCPUs
 
 
 class ConfigError(Exception):
@@ -44,20 +45,27 @@ def _convert(kind, text, flag):
         raise ConfigError(f"{flag}: {text.strip()!r} is not {'an integer' if kind is int else 'a number'}") from None
 
 
+def _rng_seed(text):
+    """An --rng-seed value: numpy seeds are non-negative integers. A ConfigError passes through argparse."""
+    seed = _convert(int, text, "--rng-seed")
+    if seed < 0:
+        raise ConfigError(f"--rng-seed must be non-negative, got {seed}")
+    return seed
+
+
 def _parse_grid(text, flag):
-    """Grid axis: comma list "0,0.05,0.1" or linspace "start:stop:count"."""
+    """Grid axis of 1 to GRID_MAX values: comma list "0,0.05,0.1" or linspace "start:stop:count"."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"{flag}: grid must be start:stop:count, got {text!r}")
         start, stop, count = (_convert(kind, t, flag) for kind, t in zip((float, float, int), parts))
-        if count < 1:
-            raise ConfigError(f"{flag}: grid count must be at least 1")
-        return np.linspace(start, stop, count).tolist()
-    values = [_convert(float, v, flag) for v in text.split(",") if v.strip()]
-    if not values:
-        raise ConfigError(f"{flag}: empty grid {text!r}")
-    return values
+    else:
+        values = [_convert(float, v, flag) for v in text.split(",") if v.strip()]
+        count = len(values)
+    if not 1 <= count <= GRID_MAX:
+        raise ConfigError(f"{flag}: a grid takes 1 to {GRID_MAX} values, got {count}")
+    return np.linspace(start, stop, count).tolist() if ":" in text else values
 
 
 def _parse_list(text, kind, flag):
@@ -80,7 +88,7 @@ def _weight_model(args, scale_flag="--scale"):
 
 def _load_weighted(args):
     model, model_text = _weight_model(args)
-    g = load_edge_list(args.graph, num_nodes=args.num_nodes)
+    g = load_edge_list(args.graph)
     return apply_weight_model(g, model), model_text
 
 
@@ -97,9 +105,9 @@ def _check_dd_p(dd_p, algos):
         raise ConfigError(f"--dd-p must be in [0, 1], got {dd_p:g}")
 
 
-def _select_once(g, algo, k, diffusion, dd_p, degree_kind):
+def _select_once(g, algo, k, diffusion, dd_p):
     if algo == "highdegree":
-        return high_degree(g, k, degree=degree_kind)
+        return high_degree(g, k)
     if algo == "degreediscount":
         return degree_discount(g, k, p=dd_p)
     bootstrap = "none" if algo == "twohop-o" else "upper_bounds"
@@ -111,7 +119,7 @@ def cmd_select(args):
         raise ConfigError("--k must be at least 1")
     _check_dd_p(args.dd_p, [args.algo])
     g, model_text = _load_weighted(args)
-    result = _select_once(g, args.algo, args.k, args.diffusion, args.dd_p, args.degree_kind)
+    result = _select_once(g, args.algo, args.k, args.diffusion, args.dd_p)
     original = [int(g.original_ids[v]) for v in result.seeds]
     payload = {
         "command": "select",
@@ -129,7 +137,6 @@ def cmd_select(args):
             "scale": args.scale,
             "diffusion": args.diffusion,
             "hops": HOPS.get(args.algo),
-            "num_nodes": args.num_nodes,
         },
     }
     if args.format == "json":
@@ -279,8 +286,6 @@ def cmd_bench(args):
     models = [_weight_model(argparse.Namespace(model=args.model, rng_seed=rng_seed, scale=scale), "--scales")[0]
               for scale in scales]
     if args.synthetic is not None:
-        if args.num_nodes is not None:
-            raise ConfigError("--num-nodes applies to --graph, not to --synthetic")
         parts = args.synthetic.split(",")
         if len(parts) != 3:
             raise ConfigError("--synthetic must be n,m,gamma")
@@ -290,13 +295,13 @@ def cmd_bench(args):
         except ValueError as e:
             raise ConfigError(f"--synthetic {args.synthetic}: {e}") from None
     else:
-        base = load_edge_list(args.graph, num_nodes=args.num_nodes)
+        base = load_edge_list(args.graph)
     lines = ["algorithm,k,scale_factor,seconds,evaluations,spread_estimate,seeds,probes"]
     for scale, model in zip(scales, models):
         g = apply_weight_model(base, model)
         for algo in algos:
             for k in ks:
-                result = _select_once(g, algo, k, args.diffusion, args.dd_p, args.degree_kind)
+                result = _select_once(g, algo, k, args.diffusion, args.dd_p)
                 est = estimate_spread(
                     g,
                     result.seeds,
@@ -320,11 +325,10 @@ def _add_graph_flags(p, bench=False):
     p.add_argument("--model", default="wc", help="weight model: wc | tri[:seed] | uniform:<p> | file")
     if not bench:  # bench sweeps --scales
         p.add_argument("--scale", type=float, default=1.0, help="probability scale factor")
-    p.add_argument("--num-nodes", type=int, default=None, help="force node count (ids taken as dense)")
 
 
 def _add_common_flags(p, bench=False):
-    p.add_argument("--rng-seed", type=int, default=None, help="seed for randomized paths (drawn if omitted)")
+    p.add_argument("--rng-seed", type=_rng_seed, default=None, help="seed for randomized paths (drawn if omitted)")
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
     if not bench:  # bench writes CSV
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -340,7 +344,6 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--diffusion", choices=("ic", "lt"), default="ic")
     p.add_argument("--dd-p", type=float, default=0.01, help="degree-discount probability")
-    p.add_argument("--degree-kind", choices=("out", "in", "total"), default="out")
     _add_common_flags(p)
     p.set_defaults(func=cmd_select)
 
@@ -377,7 +380,6 @@ def build_parser():
     p.add_argument("--scales", default="1.0")
     p.add_argument("--diffusion", choices=("ic", "lt"), default="ic")
     p.add_argument("--dd-p", type=float, default=0.01)
-    p.add_argument("--degree-kind", choices=("out", "in", "total"), default="out")
     p.add_argument("--n-sims", type=int, default=1000)
     p.add_argument("--hop-limit", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)

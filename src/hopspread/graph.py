@@ -187,8 +187,8 @@ class WeightModel:
         if self.variant == "uniform":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise GraphError("uniform weight model needs p in [0, 1]")
-        if self.variant == "trivalency" and self.rng_seed is None:
-            raise GraphError("trivalency weight model needs an rng seed")
+        if self.variant == "trivalency" and (self.rng_seed is None or self.rng_seed < 0):
+            raise GraphError("trivalency weight model needs a non-negative rng seed")
         if not 0.0 < self.scale_factor < np.inf:
             raise GraphError(f"scale factor must be positive and finite, got {self.scale_factor}")
 
@@ -214,15 +214,13 @@ class WeightModel:
         raise GraphError(f"cannot parse weight model {text!r}")
 
 
-def load_edge_list(source, num_nodes=None):
+def load_edge_list(source):
     """Parse a whitespace-separated edge list into a Graph.
 
     `source` is a path, bytes, or a file object (binary or text). Lines are "u v" or "u v p"; blank lines and
     lines starting with '#' are skipped. Missing probabilities default to
-    0.0 pending a WeightModel. With `num_nodes`, ids are taken as already
-    dense and the graph is padded with isolated nodes up to that count;
-    otherwise the distinct ids that appear are densified in sorted order.
-    A malformed line raises a GraphError that names it.
+    0.0 pending a WeightModel. The distinct ids that appear are densified
+    in sorted order. A malformed line raises a GraphError that names it.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
@@ -235,12 +233,6 @@ def load_edge_list(source, num_nodes=None):
     edges = _parse_buffer(data)
     src, dst, prob = edges if edges is not None else _parse_lines(data)
     del data, edges
-
-    if num_nodes is not None:
-        n = int(num_nodes)
-        if len(src) and max(src.max(), dst.max()) >= n:
-            raise GraphError(f"node id {int(max(src.max(), dst.max()))} exceeds --num-nodes {n}")
-        return Graph(n, src, dst, prob)
 
     # Ids below the number read fit a presence table no larger than the
     # concatenated ids; sparse ids (up to 2^63 - 1) take a sort instead.

@@ -61,14 +61,10 @@ def _check_seeds(g, seeds):
     return seed_ids
 
 
-def _check_hop_limit(hop_limit):
-    if hop_limit is not None and hop_limit < 0:
-        raise ValueError(f"hop_limit must be >= 0, got {hop_limit}")
-
-
 def _check_run(g, seeds, model, hop_limit):
     """The seed ids of a diffusion run, once its hop limit, model and seeds pass their checks."""
-    _check_hop_limit(hop_limit)
+    if hop_limit is not None and hop_limit < 0:
+        raise ValueError(f"hop_limit must be >= 0, got {hop_limit}")
     check_model(g, model)
     return _check_seeds(g, seeds)
 
@@ -280,8 +276,7 @@ class ExactSpreadTable:
     """
 
     def __init__(self, g, model="ic", hop_limit=None):
-        _check_hop_limit(hop_limit)
-        check_model(g, model)
+        _check_run(g, [], model, hop_limit)
         n = g.node_count
         if n > 20:
             raise ValueError("instance too large for subset spread table")

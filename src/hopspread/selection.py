@@ -173,19 +173,11 @@ def greedy_naive(g, k, model="ic", hops=2):
     )
 
 
-def high_degree(g, k, degree="out"):
-    """The k nodes of largest degree, ties toward smaller ids."""
+def high_degree(g, k):
+    """The k nodes of largest out-degree, ties toward smaller ids."""
     _check_k(g, k)
     t0 = time.perf_counter()
-    if degree == "out":
-        deg = g.out_degrees()
-    elif degree == "in":
-        deg = g.in_degrees()
-    elif degree == "total":
-        deg = g.out_degrees() + g.in_degrees()
-    else:
-        raise ValueError(f"unknown degree kind {degree!r}")
-    order = np.argsort(-deg, kind="stable")
+    order = np.argsort(-g.out_degrees(), kind="stable")
     seeds = [int(v) for v in order[:k]]
     return SeedResult(
         seeds=seeds,

@@ -189,7 +189,23 @@ class TestSelect:
             (["bench", "--graph", "g.txt", "--format", "json", "--algos", "highdegree", "--ks", "1"],
              "unrecognized arguments: --format json"),
             (["bench", "--synthetic", "50,200,2.5", "--num-nodes", "7", "--algos", "highdegree"],
-             "--num-nodes applies to --graph, not to --synthetic"),
+             "unrecognized arguments: --num-nodes 7"),
+            (["select", "--graph", "g.txt", "--num-nodes", "4", "--algo", "highdegree", "--k", "4"],
+             "unrecognized arguments: --num-nodes 4"),
+            (["select", "--graph", "g.txt", "--degree-kind", "in", "--algo", "highdegree", "--k", "1"],
+             "unrecognized arguments: --degree-kind in"),
+            (["bench", "--synthetic", "50,200,2.5", "--degree-kind", "total", "--algos", "highdegree"],
+             "unrecognized arguments: --degree-kind total"),
+            # The graph file does not exist: the seed is refused before it is read.
+            (["evaluate", "--graph", "missing.txt", "--seeds-file", "seeds.txt", "--rng-seed", "-1"], "--rng-seed"),
+            (["select", "--graph", "missing.txt", "--model", "tri", "--rng-seed", "-1", "--algo", "onehop", "--k", "1"],
+             "--rng-seed"),
+            (["bounds", "--graph", "missing.txt", "--rng-seed", "x"], "--rng-seed: 'x'"),
+            (["bench", "--synthetic", "30,60,2.5", "--rng-seed", "-1"], "--rng-seed"),
+            (["bounds", "--graph", "missing.txt", "--model", "tri:-1"], "--model tri:-1"),
+            (["alpha-surface", "--p-grid", "0:1:1001"], "--p-grid: a grid takes 1 to 1000 values, got 1001"),
+            (["alpha-surface", "--ratio-grid", ",".join(["0.5"] * 1001)],
+             "--ratio-grid: a grid takes 1 to 1000 values, got 1001"),
             (["alpha-surface", "--p-grid", "a:b:3"], "--p-grid: 'a'"),
             (["alpha-surface", "--p-grid", "0:1:x"], "--p-grid: 'x'"),
             (["alpha-surface", "--ratio-grid", "a:b:3"], "--ratio-grid: 'a'"),
@@ -210,6 +226,8 @@ class TestSelect:
             (["alpha-surface", "--truncation", "999"], "--truncation 999"),
         ],
         ids=["model", "scale", "hop-limit", "bench-scales", "bench-scale", "bench-format", "bench-num-nodes",
+             "select-num-nodes", "select-degree-kind", "bench-degree-kind", "evaluate-rng-seed", "select-rng-seed",
+             "bounds-rng-seed-integer", "bench-rng-seed", "model-tri-seed", "p-grid-too-long", "ratio-grid-too-long",
              "p-grid-bounds", "p-grid-count", "ratio-grid-bounds", "ratio-grid-count", "bench-ks",
              "bench-scales-number", "synthetic-m", "synthetic-empty", "synthetic-gamma", "dd-p", "bench-ks-zero",
              "bounds-hops", "gamma-2", "gamma-0.5", "gamma-60", "p-grid-range", "ratio-grid-range",
@@ -225,14 +243,6 @@ class TestSelect:
     def test_k_too_large_is_data_error(self, chain_file):
         assert main(["select", "--graph", chain_file, "--algo", "twohop", "--k", "99"]) == 2
         assert main(["bench", "--graph", chain_file, "--algos", "twohop", "--ks", "99", "--n-sims", "1"]) == 2
-
-    def test_num_nodes_pads_isolated(self, tmp_path):
-        path = tmp_path / "tiny.txt"
-        path.write_text("0 1\n")
-        out = tmp_path / "sel.json"
-        assert main(["select", "--graph", str(path), "--num-nodes", "4", "--algo", "highdegree",
-                     "--k", "4", "--out", str(out)]) == 0
-        assert sorted(read_json(out)["seeds"]) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize(
@@ -430,6 +440,15 @@ class TestAlphaSurface:
 
     def test_bad_grid_is_config_error(self):
         assert main(["alpha-surface", "--p-grid", "0:0.1"]) == 1
+
+    def test_grid_count_is_refused_before_linspace(self, monkeypatch, capsys):
+        # 10^12 values would ask numpy for 7.28 TiB.
+        def linspace(*args):
+            raise AssertionError("linspace called")
+
+        monkeypatch.setattr(cli.np, "linspace", linspace)
+        assert main(["alpha-surface", "--p-grid", "0:1:1000000000000"]) == 1
+        assert "--p-grid: a grid takes 1 to 1000 values" in capsys.readouterr().err
 
     def test_truncation_beyond_limit_is_refused_before_allocating(self, capsys):
         # 10^12 degrees would ask numpy for a 7.28 TiB power table.

@@ -5,8 +5,9 @@ escaping exception, in under a second. On exit 0 every number written is
 finite, and a spread or Monte-Carlo mean is at most the node count. About
 half the cases are hostile: each of their values is drawn from a list of
 bad ones with some probability, and their edge lists may hold bad bytes,
-self-loops, duplicates, bad probabilities or mixed column counts. No drawn
-flag sizes an allocation before it is checked: no `--num-nodes`, no
+self-loops, duplicates, bad probabilities or mixed column counts, and a
+hostile case may pass a flag its command does not declare, which must be
+refused by name. No drawn flag sizes an allocation before it is checked: no
 `--workers` above 1, and only small `--n-sims`, grid counts, `--truncation`
 and `--synthetic` sizes.
 """
@@ -24,6 +25,11 @@ from hopspread.graph import load_edge_list
 CASES_PER_CHUNK = 40
 GOOD_PROBS = ["0.5", "1", "0", "0.25", "1e-3", ".5", "1.0", "0.1"]
 BAD_PROBS = ["nan", "inf", "-0.1", "2", "abc", "0x1", "1e999"]
+# Flags that no command declares, with values they once took.
+UNDECLARED = {"--degree-kind": ["out", "in", "total"], "--num-nodes": ["4", str(2**31 - 1)]}
+# The flags each command must refuse as unrecognized.
+REFUSED = {"select": ["--hops", *UNDECLARED], "evaluate": ["--num-nodes"], "bounds": ["--num-nodes"],
+           "bench": ["--scale", *UNDECLARED]}
 
 
 class Draw:
@@ -93,7 +99,7 @@ def seed_file(draw, ids):
 
 def graph_flags(draw, path, three):
     models = ["wc", "tri", "tri:5", "uniform:0.3"] + (["file"] * 2 if three else [])
-    return ["--graph", str(path), "--model", draw(models, ["file", "tri:abc", "uniform:2", "bogus"]),
+    return ["--graph", str(path), "--model", draw(models, ["file", "tri:abc", "tri:-1", "uniform:2", "bogus"]),
             *draw.flag("--scale", ["1", "0.5", "2"], ["0", "-1", "inf", "nan"], p=0.3)]
 
 
@@ -109,14 +115,14 @@ def case(rng, tmp_path, i):
         argv = ["select", *graph_flags(draw, path, three), "--algo", rng.choice(ALGORITHMS),
                 "--k", draw([1, 1, 2, 3], [-1, 0, 7, 100])]
         argv += draw.flag("--diffusion", ["ic", "lt"]) + draw.flag("--dd-p", [0.01, 0.5, 1], [1.5, -1, "nan"], 0.3)
-        argv += draw.flag("--degree-kind", ["out", "in", "total"], p=0.3) + draw.flag("--rng-seed", [0, 3, 99], p=0.3)
+        argv += draw.flag("--rng-seed", [0, 3, 99], [-1], p=0.3)
         if rng.random() < 0.1:
             argv += ["--hops", rng.choice(["1", "2"])]
     elif command == "evaluate":
         seeds = tmp_path / f"s{i}.txt"
         seeds.write_bytes(seed_file(draw, [line.split()[0] for line in text.splitlines() if line[:1].isdigit()]))
         argv = ["evaluate", *graph_flags(draw, path, three), "--seeds-file", str(seeds),
-                "--n-sims", draw([1, 5, 30], [0, -2]), "--rng-seed", str(rng.randrange(1000))]
+                "--n-sims", draw([1, 5, 30], [0, -2]), "--rng-seed", draw([rng.randrange(1000)], [-1])]
         argv += draw.flag("--diffusion", ["ic", "lt"]) + draw.flag("--hop-limit", [0, 1, 2, 50], [-1], 0.4)
         argv += draw.flag("--workers", [1], [0, -1], 0.2)
     elif command == "bounds":
@@ -136,11 +142,14 @@ def case(rng, tmp_path, i):
         argv = ["bench", *source, "--model", draw(["wc", "tri", "uniform:0.2"], ["bogus", "file"]),
                 "--n-sims", draw([1, 5], [0]), "--algos", ",".join(algos),
                 "--ks", draw(["1", "1,2"], ["0", "x", ""]), "--scales", draw(["1.0", "1.0,0.5"], ["-1", "nan"]),
-                "--rng-seed", str(rng.randrange(1000))]
+                "--rng-seed", draw([rng.randrange(1000)], [-1])]
         argv += draw.flag("--diffusion", ["ic", "lt"]) + draw.flag("--hop-limit", [1, 2], [-1], 0.3)
         if rng.random() < draw.hostile:  # bench sweeps --scales and has no --scale
             argv += ["--scale", rng.choice(["1.0", "2.0"])]
         fmt = []
+    if command != "alpha-surface" and rng.random() < draw.hostile:
+        flag = rng.choice([f for f in REFUSED[command] if f in UNDECLARED])
+        argv += [flag, rng.choice(UNDECLARED[flag])]
     out = [] if rng.random() < 0.3 else ["--out", str(tmp_path / f"out{i}")]
     return argv + fmt + out, command
 
@@ -195,8 +204,11 @@ def test_cli_fuzz(tmp_path, capsys, chunk):
         printed, errors = capsys.readouterr()
         assert code in (0, 1, 2), argv
         assert elapsed < 1.0, (argv, elapsed)
-        if ("--hops" in argv and command == "select") or ("--scale" in argv and command == "bench"):
-            assert code == 1 and "unrecognized arguments" in errors, (argv, errors)
+        if "--rng-seed" in argv and argv[argv.index("--rng-seed") + 1] == "-1":
+            assert code == 1 and "--rng-seed must be non-negative" in errors, (argv, errors)
+        elif any(flag in argv for flag in REFUSED.get(command, [])):
+            # Unrecognized, unless argparse failed first on a value it converts ("--hops x").
+            assert code == 1 and ("unrecognized arguments" in errors or "argument --" in errors), (argv, errors)
         if code != 0:
             continue
         succeeded += 1

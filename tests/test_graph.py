@@ -87,16 +87,6 @@ class TestLoadEdgeList:
         with pytest.raises(GraphError, match="unknown node id 11"):
             g.to_internal([11])
 
-    def test_num_nodes_forces_isolated_vertices(self):
-        g = load_edge_list(b"0 1\n", num_nodes=5)
-        assert g.node_count == 5
-        assert g.edge_count == 1
-        assert list(g.original_ids) == [0, 1, 2, 3, 4]
-
-    def test_num_nodes_too_small(self):
-        with pytest.raises(GraphError, match="exceeds"):
-            load_edge_list(b"0 7\n", num_nodes=5)
-
     def test_empty_input(self):
         g = load_edge_list(b"")
         assert g.node_count == 0 and g.edge_count == 0
@@ -198,10 +188,7 @@ def fuzz_edge_list(rng, mutation):
     data = b"".join(line + b"\n" for line in lines)
     if lines and rng.random() < 0.2:
         data = data[:-1]  # no final "\n"
-    num_nodes = None
-    if offset == 0 and rng.random() < 0.4:
-        num_nodes = n if rng.random() < 0.5 else max(1, n // 3)
-    return data, num_nodes
+    return data
 
 
 def _outcome(build):
@@ -213,8 +200,8 @@ def _outcome(build):
     return ("graph", [(s, np.asarray(getattr(g, s)).dtype.str, np.asarray(getattr(g, s)).tobytes()) for s in Graph.__slots__])
 
 
-def _load_outcome(source, num_nodes):
-    return _outcome(lambda: load_edge_list(source, num_nodes=num_nodes))
+def _load_outcome(source):
+    return _outcome(lambda: load_edge_list(source))
 
 
 def _differential_fuzz(rng, cases, tmp_path, monkeypatch):
@@ -223,7 +210,7 @@ def _differential_fuzz(rng, cases, tmp_path, monkeypatch):
     path = tmp_path / "edges.txt"
     for case in range(cases):
         # A third of the files start clean, so that each scan takes enough of them.
-        data, num_nodes = fuzz_edge_list(rng, "none" if case % 3 == 0 else MUTATIONS[case % len(MUTATIONS)])
+        data = fuzz_edge_list(rng, "none" if case % 3 == 0 else MUTATIONS[case % len(MUTATIONS)])
         path.write_bytes(data)
         sources = [
             lambda: data,
@@ -232,11 +219,11 @@ def _differential_fuzz(rng, cases, tmp_path, monkeypatch):
             lambda: io.StringIO(data.decode("utf-8", "surrogateescape")),
         ]
         source = sources[case % len(sources)]
-        got = _load_outcome(source(), num_nodes)
+        got = _load_outcome(source())
         with monkeypatch.context() as m:
             m.setattr(graph_module, "_parse_buffer", lambda data: None)
-            want = _load_outcome(source(), num_nodes)
-        assert got == want, (data, num_nodes)
+            want = _load_outcome(source())
+        assert got == want, data
         if got[0] == "error":
             kinds["error"] += 1
         elif graph_module._parse_buffer(data) is None:
@@ -275,9 +262,9 @@ class TestFastParseMatchesLineLoop:
         # After "0 1\n", inputs that would otherwise stop at the field count
         # reach the "u v" gate: "1 \n 2\n" repeats sep + "\n" with too few ids.
         assert graph_module._parse_buffer(text) is None
-        got = _load_outcome(text, None)
+        got = _load_outcome(text)
         monkeypatch.setattr(graph_module, "_parse_buffer", lambda data: None)
-        assert got == _load_outcome(text, None)
+        assert got == _load_outcome(text)
 
     def test_triple_gate_takes_exactly_the_probability_grammar(self):
         # Every literal of up to 5 bytes over "05.eE+-", mid-file and as the
@@ -296,10 +283,10 @@ class TestFastParseMatchesLineLoop:
         monkeypatch.setattr(graph_module, "_WINDOW", 0)
         for text in (b"0 1\n 12\n3 4\n", b"0 1 .5\n 12 3.5\n"):
             assert graph_module._parse_buffer(text) is None
-            got = _load_outcome(text, None)
+            got = _load_outcome(text)
             with monkeypatch.context() as m:
                 m.setattr(graph_module, "_parse_buffer", lambda data: None)
-                assert got == _load_outcome(text, None)
+                assert got == _load_outcome(text)
 
     def test_windows_of_whole_lines_keep_the_scan(self, monkeypatch):
         # Here one line each; the last line lacks its "\n".
@@ -350,10 +337,10 @@ class TestFastParseMatchesLineLoop:
         for text in (b"\r\n0 1\r", b"0 1\r2 3\r\n", b"0 1\r\n1\r2\r\n", b"0 1\r\r\n",
                      b"0 1 \r\n", b"0 1\r\n\r\n1 2\r\n", b"0 1\r\n1 2\r", b"0 1\r\n1 2\r3\n"):
             assert graph_module._parse_buffer(text) is None, text
-            got = _load_outcome(text, None)
+            got = _load_outcome(text)
             with monkeypatch.context() as m:
                 m.setattr(graph_module, "_parse_buffer", lambda data: None)
-                assert got == _load_outcome(text, None), text
+                assert got == _load_outcome(text), text
 
     @pytest.mark.parametrize("window", [0, 16, 1 << 19])
     def test_crlf_differential(self, monkeypatch, window):
@@ -363,7 +350,7 @@ class TestFastParseMatchesLineLoop:
         rng = np.random.default_rng(1018 + window)
         taken = {"crlf": 0, "mixed": 0, "lone-cr": 0, "trailing": 0}
         for case in range(240):
-            data, num_nodes = fuzz_edge_list(rng, "none" if case % 3 else MUTATIONS[case % len(MUTATIONS)])
+            data = fuzz_edge_list(rng, "none" if case % 3 else MUTATIONS[case % len(MUTATIONS)])
             kind = list(taken)[case % 4]
             if kind == "mixed":
                 parts = data.split(b"\n")
@@ -375,10 +362,10 @@ class TestFastParseMatchesLineLoop:
                 data = data[:at] + b"\r" + data[at:]
             elif kind == "trailing":
                 data += b"\r\n" * int(rng.integers(1, 4)) + [b"", b" \r\n", b"\t\r\n\r\n"][int(rng.integers(3))]
-            got = _load_outcome(data, num_nodes)
+            got = _load_outcome(data)
             with monkeypatch.context() as m:
                 m.setattr(graph_module, "_parse_buffer", lambda data: None)
-                assert got == _load_outcome(data, num_nodes), (data, num_nodes)
+                assert got == _load_outcome(data), data
             taken[kind] += graph_module._parse_buffer(data) is not None
         assert taken["crlf"] >= 10 and taken["mixed"] >= 10 and taken["trailing"] >= 10, taken
 
@@ -428,7 +415,7 @@ class TestDensify:
 
     def assert_same_as_sort(self, data):
         want = _outcome(lambda: _sort_densified(data))
-        assert _load_outcome(data, None) == want, data
+        assert _load_outcome(data) == want, data
         return want
 
     def test_random_id_sets(self):
@@ -468,11 +455,6 @@ class TestDensify:
     def test_empty_input(self):
         outcome = self.assert_same_as_sort(b"")
         assert outcome[0] == "graph"
-
-    def test_num_nodes_keeps_ids(self):
-        data = _edge_bytes([(0, 4), (4, 1)])
-        want = _outcome(lambda: Graph(7, [0, 4], [4, 1], [0.5, 0.5]))
-        assert _load_outcome(data, 7) == want
 
 
 class TestLoadMemory:

@@ -322,20 +322,11 @@ class TestHighDegree:
         dst = (src + rng.integers(1, n, size=len(src))) % n
         keep = np.unique(src * n + dst)
         g = Graph(n, keep // n, keep % n, [0.0] * len(keep))
-        for kind, deg in [("out", g.out_degrees()), ("in", g.in_degrees()),
-                          ("total", g.out_degrees() + g.in_degrees())]:
-            expected = sorted(range(n), key=lambda v: (-int(deg[v]), v))
-            assert high_degree(g, n, degree=kind).seeds == expected
+        deg = g.out_degrees()
+        assert high_degree(g, n).seeds == sorted(range(n), key=lambda v: (-int(deg[v]), v))
 
     def test_k_equals_node_count(self, chain_graph):
         assert sorted(high_degree(chain_graph, 3).seeds) == [0, 1, 2]
-
-    def test_degree_kinds(self):
-        g = Graph(3, [0, 1], [2, 2], [0.5, 0.5])
-        assert high_degree(g, 1, degree="out").seeds == [0]
-        assert high_degree(g, 1, degree="in").seeds == [2]
-        with pytest.raises(ValueError):
-            high_degree(g, 1, degree="bogus")
 
     def test_no_gains_reported(self, chain_graph):
         assert high_degree(chain_graph, 2).marginal_gains == []
