@@ -10,6 +10,7 @@ one-hop spread floor, and the activated-fraction fixed point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,8 +43,8 @@ class ScaleFreeParams:
 
 @lru_cache(maxsize=16)
 def _pmf(exponent, truncation):
-    d = np.arange(1, truncation + 1, dtype=np.float64)
-    pmf = np.power(d, exponent)
+    pmf = np.arange(1, truncation + 1, dtype=np.float64)
+    np.power(pmf, exponent, out=pmf)  # in place: one 8 B-per-degree array per table
     pmf /= pmf.sum()
     return pmf
 
@@ -60,7 +61,7 @@ def _exponent(params, which):
 
 def degree_dist(params, which, d):
     """P0(d) or P1(d) under the truncated power law, for an integer degree d."""
-    if d < 1:
+    if operator.index(d) < 1:  # a float degree is a TypeError here, not an IndexError from the table
         raise ValueError("degree must be at least 1")
     exp = _exponent(params, which)
     if d > params.truncation:

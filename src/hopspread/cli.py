@@ -60,12 +60,13 @@ def _parse_grid(text, flag):
         if len(parts) != 3:
             raise ConfigError(f"{flag}: grid must be start:stop:count, got {text!r}")
         start, stop, count = (_convert(kind, t, flag) for kind, t in zip((float, float, int), parts))
-    else:
-        values = [_convert(float, v, flag) for v in text.split(",") if v.strip()]
-        count = len(values)
-    if not 1 <= count <= GRID_MAX:
-        raise ConfigError(f"{flag}: a grid takes 1 to {GRID_MAX} values, got {count}")
-    return np.linspace(start, stop, count).tolist() if ":" in text else values
+        if not 1 <= count <= GRID_MAX:
+            raise ConfigError(f"{flag}: a grid takes 1 to {GRID_MAX} values, got {count}")
+        return np.linspace(start, stop, count).tolist()
+    values = [_convert(float, v, flag) for v in text.split(",") if v.strip()]
+    if not 1 <= len(values) <= GRID_MAX:
+        raise ConfigError(f"{flag}: a grid takes 1 to {GRID_MAX} values, got {len(values)}")
+    return values
 
 
 def _parse_list(text, kind, flag):
@@ -273,9 +274,7 @@ def cmd_bench(args):
     ks = _parse_list(args.ks, int, "--ks")
     if min(ks) < 1:
         raise ConfigError("--ks: each k must be at least 1")
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    if not algos:
-        raise ConfigError("empty algorithm sweep")
+    algos = _parse_list(args.algos, str.strip, "--algos")
     for a in algos:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}")

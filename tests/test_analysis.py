@@ -49,6 +49,12 @@ class TestDegreeDistributions:
         total = sum(degree_dist(params, "p0", d) for d in range(1, 1001))
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_degree_must_be_an_integer(self):
+        params = ScaleFreeParams(gamma=3.0, truncation=1000)
+        assert degree_dist(params, "p0", np.int64(7)) == degree_dist(params, "p0", 7)
+        with pytest.raises(TypeError):
+            degree_dist(params, "p0", 7.0)
+
     def test_beyond_truncation_is_zero(self):
         params = ScaleFreeParams(gamma=3.0, truncation=1000)
         assert degree_dist(params, "p0", 1001) == 0.0

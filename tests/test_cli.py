@@ -211,6 +211,7 @@ class TestSelect:
             (["alpha-surface", "--ratio-grid", "a:b:3"], "--ratio-grid: 'a'"),
             (["alpha-surface", "--ratio-grid", "0:1:x"], "--ratio-grid: 'x'"),
             (["bench", "--graph", "g.txt", "--ks", "x"], "--ks: 'x'"),
+            (["bench", "--graph", "g.txt", "--algos", " , "], "--algos: empty sweep"),
             (["bench", "--graph", "g.txt", "--scales", "y"], "--scales: 'y'"),
             (["bench", "--synthetic", "60,x,2.5"], "--synthetic: 'x'"),
             (["bench", "--synthetic", ""], "--synthetic must be n,m,gamma"),
@@ -228,7 +229,7 @@ class TestSelect:
         ids=["model", "scale", "hop-limit", "bench-scales", "bench-scale", "bench-format", "bench-num-nodes",
              "select-num-nodes", "select-degree-kind", "bench-degree-kind", "evaluate-rng-seed", "select-rng-seed",
              "bounds-rng-seed-integer", "bench-rng-seed", "model-tri-seed", "p-grid-too-long", "ratio-grid-too-long",
-             "p-grid-bounds", "p-grid-count", "ratio-grid-bounds", "ratio-grid-count", "bench-ks",
+             "p-grid-bounds", "p-grid-count", "ratio-grid-bounds", "ratio-grid-count", "bench-ks", "bench-algos-empty",
              "bench-scales-number", "synthetic-m", "synthetic-empty", "synthetic-gamma", "dd-p", "bench-ks-zero",
              "bounds-hops", "gamma-2", "gamma-0.5", "gamma-60", "p-grid-range", "ratio-grid-range",
              "truncation-low"],
