@@ -23,7 +23,7 @@ FIXED_POINT_MAX_ITERS = 10**5
 
 @dataclass(frozen=True)
 class ScaleFreeParams:
-    """Graph-ensemble parameters: exponent, uniform p, and seed ratio."""
+    """Graph-ensemble parameters: exponent, uniform p, and seed ratio (p and seed_ratio may be arrays that broadcast)."""
 
     gamma: float
     p: float = 0.0
@@ -31,11 +31,11 @@ class ScaleFreeParams:
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
+        if not 1.0 < self.gamma < math.inf:
             raise ValueError("gamma must exceed 1 for a normalizable degree law")
-        if not 0.0 <= self.p <= 1.0:
+        if not np.all((0.0 <= self.p) & (self.p <= 1.0)):
             raise ValueError("p must be in [0, 1]")
-        if not 0.0 <= self.seed_ratio <= 1.0:
+        if not np.all((0.0 <= self.seed_ratio) & (self.seed_ratio <= 1.0)):
             raise ValueError("seed_ratio must be in [0, 1]")
         if not 10**3 <= self.truncation <= 10**7:  # a power table costs 8 B per degree; `_pmf` caches 16
             raise ValueError(f"truncation must be in [1000, 10^7], got {self.truncation}")
@@ -89,16 +89,20 @@ def alpha_lower_bound(params):
     the crossover r* = 1 - (1 - P0(1)) / (P0(1) (1 - P1(1))) (about 0.4846
     at gamma = 3), rises above it, and is constant at r = 0, r* and 1.
     """
-    r = params.seed_ratio
-    p = params.p
+    return float(_alpha(params))
+
+
+def _alpha(params):
+    """The clamped bound at every (p, seed_ratio) of `params`, scalars or arrays that broadcast."""
+    r, p = params.seed_ratio, params.p
     p0_1 = degree_dist(params, "p0", 1)
     p1_1 = degree_dist(params, "p1", 1)
     a = 1.0 - (1.0 - r) * p1_1
     numerator = 1.0 - (1.0 - r) * (1.0 - p * r)
     denominator = 1.0 - (1.0 - r) * p0_1 * (1.0 - p * a)
-    if abs(denominator) < 1e-15:
+    if np.any(np.abs(denominator) < 1e-15):
         raise ValueError("degenerate denominator in ratio lower bound")
-    return float(min(max(numerator / denominator, 0.0), 1.0))
+    return np.clip(numerator / denominator, 0.0, 1.0)
 
 
 def guarantee_factor(alpha):
@@ -110,8 +114,8 @@ def guarantee_factor(alpha):
 
 def one_hop_expected_lb(params, n, k):
     """Expected one-hop spread floor (p+1)k - p k^2 / n for uniform p."""
-    if k > n:
-        raise ValueError("k cannot exceed n")
+    if not 0 <= k <= n or n < 1:
+        raise ValueError(f"need n >= 1 and k in [0, n], got n={n}, k={k}")
     p = params.p
     return (p + 1.0) * k - p * k * k / n
 
@@ -169,18 +173,13 @@ def fixed_point_residuals(params, phi, varphi):
 
 
 def alpha_surface(gamma, ps, seed_ratios, truncation=DEFAULT_TRUNCATION):
-    """Grid of (p, seed_ratio, alpha) rows over the given axes."""
-    rows = []
-    for p in ps:
-        for r in seed_ratios:
-            params = ScaleFreeParams(gamma=gamma, p=float(p), seed_ratio=float(r), truncation=truncation)
-            rows.append((float(p), float(r), alpha_lower_bound(params)))
-    return rows
+    """The bound as a (len(ps), len(seed_ratios)) float64 array; every value is checked before any is computed."""
+    ps, seed_ratios = np.asarray(ps, dtype=np.float64), np.asarray(seed_ratios, dtype=np.float64)
+    return _alpha(ScaleFreeParams(gamma, ps[:, None], seed_ratios, truncation))
 
 
-def format_surface_csv(rows):
-    """CSV text for a surface grid: header plus 10-significant-digit rows."""
-    lines = ["p,seed_ratio,alpha"]
-    for p, r, alpha in rows:
-        lines.append(f"{p:.10g},{r:.10g},{alpha:.10g}")
-    return "\n".join(lines) + "\n"
+def surface_csv(ps, seed_ratios, grid):
+    """CSV text of an `alpha_surface` grid in chunks: the header, then the 10-significant-digit lines of each p."""
+    yield "p,seed_ratio,alpha\n"
+    for p, row in zip(ps, grid):
+        yield "".join(f"{p:.10g},{r:.10g},{alpha:.10g}\n" for r, alpha in zip(seed_ratios, row.tolist()))

@@ -264,8 +264,7 @@ def test_criterion_08_scale_free_analysis():
 
     ps = np.linspace(0.0, 0.1, 11)
     ratios = np.linspace(0.0, 0.5, 11)
-    rows = alpha_surface(3.0, ps, ratios)
-    grid = np.array([a for _, _, a in rows]).reshape(len(ps), len(ratios))
+    grid = alpha_surface(3.0, ps, ratios)
     in_range = bool(((grid >= 0.0) & (grid <= 1.0)).all())
     ratio_monotone = bool((np.diff(grid, axis=1) >= -1e-12).all())
 

@@ -15,10 +15,10 @@ from hopspread.analysis import (
     alpha_surface,
     degree_dist,
     fixed_point_residuals,
-    format_surface_csv,
     guarantee_factor,
     one_hop_expected_lb,
     solve_expected_fraction,
+    surface_csv,
     truncation_tail,
 )
 
@@ -77,6 +77,8 @@ class TestDegreeDistributions:
             ScaleFreeParams(gamma=3.0, truncation=100)
         with pytest.raises(ValueError, match="truncation"):
             ScaleFreeParams(gamma=3.0, truncation=10**7 + 1)
+        with pytest.raises(ValueError, match="gamma"):  # d^-inf is no degree law
+            ScaleFreeParams(gamma=math.inf)
         assert ScaleFreeParams(gamma=3.0, truncation=10**7).truncation == 10**7
 
     def test_truncation_tail_small_for_default(self):
@@ -103,8 +105,8 @@ class TestAlphaLowerBound:
         # ratio axis is asserted here.
         ps = np.linspace(0.0, 0.1, 6)
         ratios = np.linspace(0.0, 0.5, 6)
-        rows = alpha_surface(3.0, ps, ratios)
-        grid = np.array([a for _, _, a in rows]).reshape(len(ps), len(ratios))
+        grid = alpha_surface(3.0, ps, ratios)
+        assert grid.shape == (len(ps), len(ratios)) and grid.dtype == np.float64
         assert ((grid >= 0.0) & (grid <= 1.0)).all()
         assert (np.diff(grid, axis=1) >= -1e-12).all()
 
@@ -118,11 +120,39 @@ class TestAlphaLowerBound:
         )
 
     def test_csv_format(self):
-        text = format_surface_csv(alpha_surface(3.0, [0.0, 0.1], [0.0, 0.5]))
+        chunks = list(surface_csv([0.0, 0.1], [0.0, 0.5], alpha_surface(3.0, [0.0, 0.1], [0.0, 0.5])))
+        assert len(chunks) == 3  # the header, then one chunk per p
+        text = "".join(chunks)
         lines = text.strip().split("\n")
         assert lines[0] == "p,seed_ratio,alpha"
         assert len(lines) == 5
         assert lines[1].startswith("0,0,")
+
+    def test_surface_equals_scalar_bound_bit_for_bit(self):
+        # Both read one expression; the grid must not drift from the scalar bound by a rounding.
+        for gamma, truncation in ((3.0, 10**6), (2.5, 10**5), (2.001, 1000)):
+            ps, ratios = np.linspace(0.0, 1.0, 23), np.linspace(0.0, 1.0, 17)
+            grid = alpha_surface(gamma, ps, ratios, truncation=truncation)
+            for i, j in [(0, 0), (0, 16), (22, 0), (22, 16), (3, 7), (11, 8), (17, 2), (5, 13)]:
+                params = ScaleFreeParams(gamma=gamma, p=float(ps[i]), seed_ratio=float(ratios[j]), truncation=truncation)
+                assert alpha_lower_bound(params) == grid[i, j], (gamma, i, j)
+
+    @pytest.mark.parametrize(
+        "gamma, ps, ratios, truncation, message",
+        [
+            (math.nan, [0.0, math.nan], [2.0], 1, "gamma must exceed 1"),
+            (3.0, [0.0, math.nan], [0.5, 2.0], 1, "p must be in"),
+            (3.0, [0.0, 0.5], [0.5, math.nan], 1, "seed_ratio must be in"),
+            (1.5, [0.0], [0.5], 1, "truncation must be in"),
+            (1.5, [0.0], [0.5], 1000, "P1 requires gamma > 2"),
+            (60.0, [0.1, 0.2], [0.5, 0.0], 1000, "degenerate denominator"),
+        ],
+        ids=["gamma", "p", "seed-ratio", "truncation", "p1", "denominator"],
+    )
+    def test_surface_checks_every_value_in_order(self, gamma, ps, ratios, truncation, message):
+        # Each case holds its named fault and every fault later in the order; the bad value is not the first.
+        with pytest.raises(ValueError, match=message):
+            alpha_surface(gamma, ps, ratios, truncation=truncation)
 
 
 class TestGuaranteeFactor:
@@ -153,6 +183,10 @@ class TestOneHopExpectedLb:
     def test_k_exceeds_n(self):
         with pytest.raises(ValueError):
             one_hop_expected_lb(ScaleFreeParams(gamma=3.0), 10, 11)
+        with pytest.raises(ValueError):
+            one_hop_expected_lb(ScaleFreeParams(gamma=3.0, p=0.5), 10, -5)
+        with pytest.raises(ValueError):
+            one_hop_expected_lb(ScaleFreeParams(gamma=3.0), 0, 0)
 
 
 class TestBoundSandwich:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, round trips, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -438,6 +439,45 @@ class TestAlphaSurface:
             texts.append(out.read_text())
         assert texts[0] == texts[1]
         assert len(texts[0].strip().split("\n")) == 7
+
+    @pytest.mark.parametrize(
+        "argv, sha1",
+        [
+            ([], "067bff61c3f4996e3671e0a4a2670a2fcb84fab1"),
+            (["--gamma", "2.5", "--truncation", "10000000", "--p-grid", "0:0.3:31", "--ratio-grid", "0:1:21"],
+             "cfd77151fcf5ff53d4efdc917335f504cbc0bdd6"),
+            # r = 0, the crossover r* and 1, where each column of the bound is flat in p.
+            (["--p-grid", "0:1:11", "--ratio-grid", "0,0.4846440685457918,1"], "7901b31a5609dee4e607c0037acec37c9d75203e"),
+            (["--gamma", "2.5", "--truncation", "10000000", "--p-grid", "0,0.5,1", "--ratio-grid",
+              "1,0.44663821943452964,0"], "9e82311b4d43abd799f907d323cb68930a037d70"),
+        ],
+        ids=["default", "gamma-2.5", "crossover-gamma-3", "crossover-gamma-2.5"],
+    )
+    def test_csv_bytes_are_pinned(self, capsys, argv, sha1):
+        assert main(["alpha-surface", *argv]) == 0
+        assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == sha1
+
+    @pytest.mark.parametrize("p_count, ratio_count", [(1000, 100), (100, 1000)])
+    def test_surface_is_written_row_by_row(self, tmp_path, p_count, ratio_count):
+        # 10^5 points are ~3.5 MB of CSV; holding every row, or the whole text, peaked at 25.5 MiB.
+        out = tmp_path / "surface.csv"
+        tracemalloc.start()
+        try:
+            code = main(["alpha-surface", "--p-grid", f"0:1:{p_count}", "--ratio-grid", f"0:1:{ratio_count}",
+                         "--truncation", "1000", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 8 << 20, peak
+        assert len(out.read_text().split("\n")) == p_count * ratio_count + 2
+
+    def test_refused_surface_writes_nothing(self, tmp_path, capsys):
+        # The degenerate point is the last: the grid is checked whole before --out is opened.
+        out = tmp_path / "surface.csv"
+        assert main(["alpha-surface", "--gamma", "60", "--p-grid", "0.1,0.2", "--ratio-grid", "0.5,0",
+                     "--out", str(out)]) == 1
+        printed, errors = capsys.readouterr()
+        assert not out.exists() and printed == "" and "degenerate denominator" in errors
 
     def test_bad_grid_is_config_error(self):
         assert main(["alpha-surface", "--p-grid", "0:0.1"]) == 1

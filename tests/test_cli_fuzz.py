@@ -27,6 +27,8 @@ GOOD_PROBS = ["0.5", "1", "0", "0.25", "1e-3", ".5", "1.0", "0.1"]
 BAD_PROBS = ["nan", "inf", "-0.1", "2", "abc", "0x1", "1e999"]
 # Flags that no command declares, with values they once took.
 UNDECLARED = {"--degree-kind": ["out", "in", "total"], "--num-nodes": ["4", str(2**31 - 1)]}
+# `alpha-surface --gamma` values the analysis must refuse by name.
+BAD_GAMMAS = ["2.0", "1.0", "0.5", "nan", "inf"]
 # The flags each command must refuse as unrecognized.
 REFUSED = {"select": ["--hops", *UNDECLARED], "evaluate": ["--num-nodes"], "bounds": ["--num-nodes"],
            "bench": ["--scale", *UNDECLARED]}
@@ -129,7 +131,7 @@ def case(rng, tmp_path, i):
         argv = ["bounds", *graph_flags(draw, path, three), "--hops", draw([0, 1, 2, 5, 100_000_000], [-1, "x"])]
     elif command == "alpha-surface":
         grid = (["0,0.5", "0:1:3", "0.2", "1:0:2", "0,0.05,0.1"], ["0:0.1", "", "a,b", "-0.1,0.5", "0:1:0", "nan"])
-        argv = ["alpha-surface", "--gamma", draw([3.0, 2.5, 2.001, 8], [2.0, 1.0, 0.5, "nan", "inf"]),
+        argv = ["alpha-surface", "--gamma", draw([3.0, 2.5, 2.001, 8], BAD_GAMMAS),
                 "--p-grid", draw(*grid), "--ratio-grid", draw(*grid),
                 "--truncation", draw([1000, 2000], [999, 10**12])]
         fmt = []
@@ -210,6 +212,9 @@ def test_cli_fuzz(tmp_path, capsys, chunk):
             # Unrecognized, unless argparse failed first on bounds' "--hops x", the one value it converts badly.
             refused = "unrecognized arguments" in errors or (command == "bounds" and "argument --hops" in errors)
             assert code == 1 and refused, (argv, errors)
+        elif command == "alpha-surface" and argv[argv.index("--gamma") + 1] in BAD_GAMMAS:
+            # Named in the analysis error, unless a grid that does not parse ("--p-grid: ...") was refused first.
+            assert code == 1 and ("--gamma" in errors or "-grid: " in errors), (argv, errors)
         if code != 0:
             continue
         succeeded += 1
@@ -223,3 +228,10 @@ def test_cli_fuzz(tmp_path, capsys, chunk):
                     assert value is None or float(value) <= n + 1e-9, (argv, key, value, n)
     # The fuzzer must reach the commands' work, not only their checks.
     assert succeeded >= CASES_PER_CHUNK // 4
+
+
+@pytest.mark.parametrize("gamma", BAD_GAMMAS)
+def test_bad_gamma_is_refused_by_name(capsys, gamma):
+    # The seeded chunks above happen to draw no bad --gamma, so each one is tried here.
+    assert main(["alpha-surface", "--gamma", gamma, "--ratio-grid", "0.2"]) == 1
+    assert "--gamma" in capsys.readouterr().err
