@@ -23,7 +23,7 @@ FIXED_POINT_MAX_ITERS = 10**5
 
 @dataclass(frozen=True)
 class ScaleFreeParams:
-    """Graph-ensemble parameters: exponent, uniform p, and seed ratio (p and seed_ratio may be arrays that broadcast)."""
+    """Graph-ensemble parameters: exponent, uniform p, and seed ratio (for the α bound, arrays that broadcast)."""
 
     gamma: float
     p: float = 0.0

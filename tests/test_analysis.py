@@ -134,7 +134,7 @@ class TestAlphaLowerBound:
             ps, ratios = np.linspace(0.0, 1.0, 23), np.linspace(0.0, 1.0, 17)
             grid = alpha_surface(gamma, ps, ratios, truncation=truncation)
             for i, j in [(0, 0), (0, 16), (22, 0), (22, 16), (3, 7), (11, 8), (17, 2), (5, 13)]:
-                params = ScaleFreeParams(gamma=gamma, p=float(ps[i]), seed_ratio=float(ratios[j]), truncation=truncation)
+                params = ScaleFreeParams(gamma, float(ps[i]), float(ratios[j]), truncation)
                 assert alpha_lower_bound(params) == grid[i, j], (gamma, i, j)
 
     @pytest.mark.parametrize(
@@ -150,7 +150,7 @@ class TestAlphaLowerBound:
         ids=["gamma", "p", "seed-ratio", "truncation", "p1", "denominator"],
     )
     def test_surface_checks_every_value_in_order(self, gamma, ps, ratios, truncation, message):
-        # Each case holds its named fault and every fault later in the order; the bad value is not the first.
+        # Each case holds its named fault and every fault later in the order; a bad grid value is never the first.
         with pytest.raises(ValueError, match=message):
             alpha_surface(gamma, ps, ratios, truncation=truncation)
 

@@ -446,8 +446,9 @@ class TestAlphaSurface:
             ([], "067bff61c3f4996e3671e0a4a2670a2fcb84fab1"),
             (["--gamma", "2.5", "--truncation", "10000000", "--p-grid", "0:0.3:31", "--ratio-grid", "0:1:21"],
              "cfd77151fcf5ff53d4efdc917335f504cbc0bdd6"),
-            # r = 0, the crossover r* and 1, where each column of the bound is flat in p.
-            (["--p-grid", "0:1:11", "--ratio-grid", "0,0.4846440685457918,1"], "7901b31a5609dee4e607c0037acec37c9d75203e"),
+            # r = 0, the crossover r* (computed from P0(1) and P1(1)) and 1, where each column is flat in p.
+            (["--p-grid", "0:1:11", "--ratio-grid", "0,0.4846440685457918,1"],
+             "7901b31a5609dee4e607c0037acec37c9d75203e"),
             (["--gamma", "2.5", "--truncation", "10000000", "--p-grid", "0,0.5,1", "--ratio-grid",
               "1,0.44663821943452964,0"], "9e82311b4d43abd799f907d323cb68930a037d70"),
         ],
@@ -459,7 +460,7 @@ class TestAlphaSurface:
 
     @pytest.mark.parametrize("p_count, ratio_count", [(1000, 100), (100, 1000)])
     def test_surface_is_written_row_by_row(self, tmp_path, p_count, ratio_count):
-        # 10^5 points are ~3.5 MB of CSV; holding every row, or the whole text, peaked at 25.5 MiB.
+        # 10^5 points are ~3.5 MB of CSV; a writer that holds every row, or the whole text, peaks near 25 MiB.
         out = tmp_path / "surface.csv"
         tracemalloc.start()
         try:
@@ -472,7 +473,7 @@ class TestAlphaSurface:
         assert len(out.read_text().split("\n")) == p_count * ratio_count + 2
 
     def test_refused_surface_writes_nothing(self, tmp_path, capsys):
-        # The degenerate point is the last: the grid is checked whole before --out is opened.
+        # The first point is sound and r = 0 is degenerate: the grid is checked whole before --out is opened.
         out = tmp_path / "surface.csv"
         assert main(["alpha-surface", "--gamma", "60", "--p-grid", "0.1,0.2", "--ratio-grid", "0.5,0",
                      "--out", str(out)]) == 1
