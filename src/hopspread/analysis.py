@@ -32,7 +32,7 @@ class ScaleFreeParams:
 
     def __post_init__(self):
         if not 1.0 < self.gamma < math.inf:
-            raise ValueError("gamma must exceed 1 for a normalizable degree law")
+            raise ValueError("gamma must exceed 1 and be finite for a normalizable degree law")
         if not np.all((0.0 <= self.p) & (self.p <= 1.0)):
             raise ValueError("p must be in [0, 1]")
         if not np.all((0.0 <= self.seed_ratio) & (self.seed_ratio <= 1.0)):

@@ -4,12 +4,14 @@ Subcommands: select (pick seeds), evaluate (Monte-Carlo spread of a seed
 file), bounds (per-node single-seed upper bounds), alpha-surface (ratio
 lower-bound grid as CSV), bench (timing sweep as CSV). Exit codes: 0 on
 success, 1 for configuration errors, 2 for data errors. All outputs use the
-node ids from the input file; internal dense ids never appear.
+node ids from the input file; internal dense ids never appear. Each command
+returns its output as text chunks, and `main` writes them to --out or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -76,27 +78,37 @@ def _parse_list(text, kind, flag):
     return values
 
 
-def _weight_model(args, scale_flag="--scale"):
-    text = args.model
+def _weight_model(text, rng_seed, scale, scale_flag="--scale"):
     if text == "tri":
-        seed = args.rng_seed if args.rng_seed is not None else fresh_seed()
-        text = f"tri:{seed}"
+        text = f"tri:{rng_seed if rng_seed is not None else fresh_seed()}"
     try:
-        return WeightModel.parse(text, scale_factor=args.scale), text
+        return WeightModel.parse(text, scale_factor=scale), text
     except GraphError as e:
-        raise ConfigError(f"--model {text} {scale_flag} {args.scale:g}: {e}") from None
+        raise ConfigError(f"--model {text} {scale_flag} {scale:g}: {e}") from None
 
 
 def _load_weighted(args):
-    model, model_text = _weight_model(args)
+    model, model_text = _weight_model(args.model, args.rng_seed, args.scale)
     g = load_edge_list(args.graph)
     return apply_weight_model(g, model), model_text
 
 
-def _emit(args, chunks):
-    """Write each text chunk, as it comes, to --out or else to `sys.stdout` (looked up here, so capture sees it)."""
-    if args.out:
-        with open(args.out, "w") as fh:
+def _config(args, model_text, **extra):
+    return {"graph": args.graph, "model": model_text, "scale": args.scale, "diffusion": args.diffusion, **extra}
+
+
+def _formatted(args, payload, header, rows):
+    """Text chunks of `payload` as indented JSON (iterables as lists) if --format json, else of the CSV
+    `header` and `rows`, a line each, made as they are written."""
+    if args.format == "json":
+        return [json.dumps(payload, indent=2, default=list) + "\n"]
+    return itertools.chain([header + "\n"], (row + "\n" for row in rows))
+
+
+def _emit(path, chunks):
+    """Write each text chunk, as it comes, to `path` or else to `sys.stdout` (looked up here, so capture sees it)."""
+    if path:
+        with open(path, "w") as fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
@@ -133,23 +145,11 @@ def cmd_select(args):
         "elapsed_seconds": result.elapsed,
         "evaluations": result.evaluations,
         "probes": result.probes,
-        "config": {
-            "graph": args.graph,
-            "model": model_text,
-            "scale": args.scale,
-            "diffusion": args.diffusion,
-            "hops": HOPS.get(args.algo),
-        },
+        "config": _config(args, model_text, hops=HOPS.get(args.algo)),
     }
-    if args.format == "json":
-        _emit(args, [json.dumps(payload, indent=2) + "\n"])
-    else:
-        lines = ["rank,seed,marginal_gain"]
-        for i, s in enumerate(original):
-            gain = result.marginal_gains[i] if i < len(result.marginal_gains) else ""
-            lines.append(f"{i},{s},{gain}")
-        _emit(args, ["\n".join(lines) + "\n"])
-    return 0
+    gains = result.marginal_gains or [""] * len(original)  # the degree heuristics report none
+    return _formatted(args, payload, "rank,seed,marginal_gain",
+                      (f"{i},{s},{gain}" for i, (s, gain) in enumerate(zip(original, gains))))
 
 
 def _read_seeds_file(path):
@@ -200,21 +200,19 @@ def _check_sim_flags(args):
         raise ConfigError("--hop-limit must be non-negative")
 
 
+def _estimate(g, seeds, args, rng_seed):
+    """`estimate_spread` under the --diffusion, --hop-limit, --n-sims and --workers flags."""
+    return estimate_spread(g, seeds, model=args.diffusion, hop_limit=args.hop_limit, n_sims=args.n_sims,
+                           rng_seed=rng_seed, workers=args.workers)
+
+
 def cmd_evaluate(args):
     _check_sim_flags(args)
     g, model_text = _load_weighted(args)
     original = _read_seeds_file(args.seeds_file)
     seeds = g.to_internal(original)
     rng_seed = args.rng_seed if args.rng_seed is not None else fresh_seed()
-    est = estimate_spread(
-        g,
-        seeds,
-        model=args.diffusion,
-        hop_limit=args.hop_limit,
-        n_sims=args.n_sims,
-        rng_seed=rng_seed,
-        workers=args.workers,
-    )
+    est = _estimate(g, seeds, args, rng_seed)
     payload = {
         "command": "evaluate",
         "mean": est.mean,
@@ -223,39 +221,19 @@ def cmd_evaluate(args):
         "hop_limit": args.hop_limit,
         "rng_seed": rng_seed,
         "seeds": original,
-        "config": {
-            "graph": args.graph,
-            "model": model_text,
-            "scale": args.scale,
-            "diffusion": args.diffusion,
-            "workers": args.workers,
-        },
+        "config": _config(args, model_text, workers=args.workers),
     }
-    if args.format == "json":
-        _emit(args, [json.dumps(payload, indent=2) + "\n"])
-    else:
-        _emit(args, ["mean,simulations,std_error\n" f"{est.mean},{args.n_sims},{est.std_error}\n"])
-    return 0
+    return _formatted(args, payload, "mean,simulations,std_error", [f"{est.mean},{args.n_sims},{est.std_error}"])
 
 
 def cmd_bounds(args):
     if args.hops < 0:
         raise ConfigError("--hops must be non-negative")
     g, _ = _load_weighted(args)
-    ub = upper_bounds(g, args.hops)
-    if args.format == "json":
-        payload = {
-            "command": "bounds",
-            "hops": args.hops,
-            "bounds": [[int(g.original_ids[v]), float(ub[v])] for v in range(g.node_count)],
-        }
-        _emit(args, [json.dumps(payload, indent=2) + "\n"])
-    else:
-        lines = ["node,bound"]
-        for v in range(g.node_count):
-            lines.append(f"{int(g.original_ids[v])},{ub[v]:.10g}")
-        _emit(args, ["\n".join(lines) + "\n"])
-    return 0
+    ids, ub = g.original_ids.tolist(), upper_bounds(g, args.hops).tolist()
+    # Lazy: only the format asked for builds its rows.
+    payload = {"command": "bounds", "hops": args.hops, "bounds": zip(ids, ub)}
+    return _formatted(args, payload, "node,bound", (f"{u},{b:.10g}" for u, b in zip(ids, ub)))
 
 
 def cmd_alpha_surface(args):
@@ -265,8 +243,7 @@ def cmd_alpha_surface(args):
     except ValueError as e:  # every input is a flag
         raise ConfigError(f"--gamma {args.gamma:g} --p-grid {args.p_grid} --ratio-grid {args.ratio_grid} "
                           f"--truncation {args.truncation}: {e}") from None
-    _emit(args, surface_csv(p_grid, ratio_grid, grid))
-    return 0
+    return surface_csv(p_grid, ratio_grid, grid)
 
 
 def cmd_bench(args):
@@ -283,8 +260,7 @@ def cmd_bench(args):
     if (args.graph is None) == (args.synthetic is None):
         raise ConfigError("bench needs exactly one of --graph or --synthetic")
     rng_seed = args.rng_seed if args.rng_seed is not None else fresh_seed()
-    models = [_weight_model(argparse.Namespace(model=args.model, rng_seed=rng_seed, scale=scale), "--scales")[0]
-              for scale in scales]
+    models = [_weight_model(args.model, rng_seed, scale, "--scales")[0] for scale in scales]
     if args.synthetic is not None:
         parts = args.synthetic.split(",")
         if len(parts) != 3:
@@ -302,22 +278,13 @@ def cmd_bench(args):
         for algo in algos:
             for k in ks:
                 result = _select_once(g, algo, k, args.diffusion, args.dd_p)
-                est = estimate_spread(
-                    g,
-                    result.seeds,
-                    model=args.diffusion,
-                    hop_limit=args.hop_limit,
-                    n_sims=args.n_sims,
-                    rng_seed=rng_seed,
-                    workers=args.workers,
-                )
+                est = _estimate(g, result.seeds, args, rng_seed)
                 seed_text = ";".join(str(int(g.original_ids[v])) for v in result.seeds)
                 lines.append(
                     f"{algo},{k},{scale:.10g},{result.elapsed:.6f},{result.evaluations},{est.mean:.10g},{seed_text},"
                     f"{result.probes}"
                 )
-    _emit(args, ["\n".join(lines) + "\n"])
-    return 0
+    return ["\n".join(lines) + "\n"]
 
 
 def _add_graph_flags(p, bench=False):
@@ -392,7 +359,8 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        _emit(args.out, args.func(args))
+        return 0
     except ConfigError as e:
         print(f"hopspread: config error: {e}", file=sys.stderr)
         return 1

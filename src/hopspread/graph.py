@@ -43,6 +43,13 @@ def _index_dtype(n):
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
+def _read_only(a):
+    """A read-only view of `a`; the caller's array stays writeable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class Graph:
     """Immutable directed graph with per-edge propagation probabilities."""
 
@@ -59,7 +66,9 @@ class Graph:
         """Build the outgoing view from parallel edge arrays.
 
         Rejects self-loops, duplicate (u, v) pairs, out-of-range endpoints,
-        and probabilities outside [0, 1]. Errors name nodes by `original_ids`.
+        probabilities outside [0, 1], and `original_ids` that are not strictly
+        increasing (`to_internal` binary-searches them). Errors name nodes by
+        `original_ids`. The stored arrays are read-only.
         Integer id arrays that cast safely to int64 (int32 ones too) are used
         as they come, others are cast to int64; targets are int32 when the
         node count fits. The build adds a uint64 key and its argsort (16 B/edge).
@@ -83,6 +92,8 @@ class Graph:
         original_ids = np.asarray(original_ids, dtype=np.int64)
         if len(original_ids) != n:
             raise GraphError("original_ids length must equal node_count")
+        if not (original_ids[1:] > original_ids[:-1]).all():
+            raise GraphError("original_ids must be strictly increasing")
         if m and (src == dst).any():
             u = int(original_ids[src[(src == dst).argmax()]])
             raise GraphError(f"self-loop at node {u}")
@@ -113,7 +124,8 @@ class Graph:
             i = int(dup.argmax())
             u = int(np.searchsorted(self.out_indptr, i, side="right")) - 1
             raise GraphError(f"duplicate edge {int(original_ids[u])}->{int(original_ids[self.out_dst[i]])}")
-        self.original_ids = original_ids
+        self.out_indptr, self.out_dst, self.out_prob, self.original_ids = map(
+            _read_only, (self.out_indptr, self.out_dst, self.out_prob, original_ids))
 
     def out_edges(self, u):
         """(targets, probabilities) array views for node u's outgoing edges."""
@@ -149,17 +161,18 @@ class Graph:
         g.edge_count = self.edge_count
         g.out_indptr = self.out_indptr
         g.out_dst = self.out_dst
-        g.out_prob = out_prob
+        g.out_prob = _read_only(out_prob)
         g.original_ids = self.original_ids
         return g
 
     def __setstate__(self, state):
-        # Unpickled arrays carry dtype instances equal to, but not, numpy's
-        # canonical ones, and some ufunc loops (np.add.at) take a slow generic
-        # path on those; a view by scalar type restores the canonical dtype.
+        # Unpickled arrays come back writeable and carry dtype instances equal
+        # to, but not, numpy's canonical ones, and some ufunc loops (np.add.at)
+        # take a slow generic path on those; a read-only view by scalar type
+        # restores both.
         for name, value in state[1].items():
             if isinstance(value, np.ndarray):
-                value = value.view(value.dtype.type)
+                value = _read_only(value.view(value.dtype.type))
             setattr(self, name, value)
 
     def __repr__(self):

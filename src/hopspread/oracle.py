@@ -137,6 +137,8 @@ def _simulate(g, seeds, model, hop_limit, n_sims, rng_seed, workers):
     count; the workers only split the index range."""
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     seed_ids = _check_run(g, seeds, model, hop_limit)
     if rng_seed is None:
         rng_seed = fresh_seed()

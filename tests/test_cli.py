@@ -3,12 +3,14 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hopspread import cli
@@ -22,6 +24,16 @@ from hopspread.selection import greedy_celf
 def chain_file(tmp_path):
     path = tmp_path / "chain.txt"
     path.write_text("10 20 0.5\n20 30 0.5\n")
+    return str(path)
+
+
+@pytest.fixture
+def sparse_file(tmp_path):
+    # Ids from 2^40 up: the loader densifies them by a sort, not a presence table.
+    g = power_law_graph(200, 1000, rng_seed=4)
+    src = np.repeat(np.arange(g.node_count), g.out_degrees()).tolist()
+    path = tmp_path / "sparse.txt"
+    path.write_text("".join(f"{(1 << 40) + 3 * u} {(1 << 40) + 3 * v}\n" for u, v in zip(src, g.out_dst.tolist())))
     return str(path)
 
 
@@ -417,6 +429,55 @@ class TestBounds:
                      "--format", "csv", "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "node,bound" and lines[1] == "10,1.5"
+
+
+class TestOneWriter:
+    """select, evaluate and bounds write JSON or CSV through one path."""
+
+    @staticmethod
+    def both_formats(capsys, argv):
+        texts = {}
+        for fmt in ("json", "csv"):
+            assert main(argv + ["--format", fmt]) == 0
+            texts[fmt] = capsys.readouterr().out
+        header, *rows = texts["csv"].removesuffix("\n").split("\n")
+        return json.loads(texts["json"]), header, [row.split(",") for row in rows]
+
+    @pytest.mark.parametrize("algo", cli.ALGORITHMS)
+    def test_select_csv_rows_equal_json(self, sparse_file, capsys, algo):
+        payload, header, rows = self.both_formats(capsys, ["select", "--graph", sparse_file, "--algo", algo,
+                                                           "--k", "4"])
+        assert header == "rank,seed,marginal_gain" and len(payload["seeds"]) == len(rows) == 4
+        # The degree heuristics report no gains: their gain column is empty.
+        gains = payload["marginal_gains"] if algo in cli.HOPS else [""] * 4
+        assert len(gains) == 4
+        assert rows == [[str(i), str(s), str(gain)] for i, (s, gain) in enumerate(zip(payload["seeds"], gains))]
+
+    def test_bounds_csv_rows_equal_json_pairs(self, sparse_file, capsys):
+        payload, header, rows = self.both_formats(capsys, ["bounds", "--graph", sparse_file, "--hops", "3"])
+        pairs = payload["bounds"]
+        assert header == "node,bound" and len(rows) == len(pairs) > 100
+        assert pairs[0][0] >= 1 << 40 and all(a[0] < b[0] for a, b in zip(pairs, pairs[1:]))
+        assert rows == [[str(node), f"{bound:.10g}"] for node, bound in pairs]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["select", "evaluate", "bounds"])
+    def test_stdout_and_out_hold_the_same_bytes(self, sparse_file, tmp_path, capsys, command, fmt):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text(Path(sparse_file).read_text().split()[0])
+        extra = {"select": ["--algo", "twohop", "--k", "3"],
+                 "evaluate": ["--seeds-file", str(seeds), "--n-sims", "50", "--rng-seed", "3"],
+                 "bounds": []}[command]
+        argv = [command, "--graph", sparse_file, *extra, "--format", fmt]
+        out = tmp_path / "out"
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.encode()
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        # select times itself; every other byte is the same.
+        elapsed = re.compile(rb'"elapsed_seconds": [^,]*')
+        assert elapsed.sub(b"", printed) == elapsed.sub(b"", out.read_bytes())
+        assert printed.endswith(b"\n") and printed.count(b"\n") > 1
 
 
 class TestAlphaSurface:

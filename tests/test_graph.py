@@ -520,6 +520,21 @@ class TestGraphConstruction:
         with pytest.raises(GraphError, match=r"4294967297 nodes: .* need 66 bits, more than 64"):
             Graph((1 << 32) + 1, [], [], [])
 
+    @pytest.mark.parametrize("ids", [[30, 10, 20], [10, 10, 20]])
+    def test_builder_rejects_original_ids_not_strictly_increasing(self, ids):
+        # to_internal binary-searches them: it lost 10 in [30, 10, 20] and mapped 10 to node 0 in [10, 10, 20].
+        with pytest.raises(GraphError, match="^original_ids must be strictly increasing$"):
+            Graph(3, [0, 1], [1, 2], [0.5, 0.5], original_ids=ids)
+
+    def test_arrays_are_read_only(self):
+        ids = np.array([10, 20, 30], dtype=np.int64)
+        g = Graph(3, [0, 1], [1, 2], [0.5, 0.5], original_ids=ids)
+        for h in (g, apply_weight_model(g, WeightModel("wc")), pickle.loads(pickle.dumps(g))):
+            for name in ("out_indptr", "out_dst", "out_prob", "original_ids"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(h, name)[0] = 7
+        ids[0] = 5  # the graph holds a read-only view; the caller's array stays writeable
+
     @pytest.mark.parametrize("kind", ["int32", "int64", "uint32", "list"])
     def test_id_dtypes_and_edge_order_give_identical_slots(self, kind):
         # Integer id arrays are used as they come and a list is cast to

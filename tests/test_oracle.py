@@ -170,6 +170,15 @@ class TestEstimateSpread:
         with pytest.raises(ValueError, match="hop_limit"):
             estimate_spread(chain_graph, [0], hop_limit=-1, n_sims=10)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_validation(self, chain_graph, monkeypatch, workers):
+        def refuse(*args):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(oracle, "_sim_chunk", refuse)
+        with pytest.raises(ValueError, match="^workers must be >= 1$"):
+            estimate_spread(chain_graph, [0], n_sims=10, workers=workers)
+
     @pytest.mark.parametrize(
         "call",
         [
