@@ -28,6 +28,8 @@ from .selection import degree_discount, greedy_celf, high_degree
 HOPS = {"onehop": 1, "twohop": 2, "twohop-o": 2}
 ALGORITHMS = (*HOPS, "highdegree", "degreediscount")
 GRID_MAX = 1000  # values per alpha-surface axis: a surface of 10^6 points takes ~1.5 s and 79 MiB RSS on 2 vCPUs
+# The floors of the integer flags, checked in this order before a command runs.
+_FLOORS = (("--k", 1), ("--n-sims", 1), ("--workers", 1), ("--hop-limit", 0), ("--hops", 0))
 
 
 class ConfigError(Exception):
@@ -129,8 +131,6 @@ def _select_once(g, algo, k, diffusion, dd_p):
 
 
 def cmd_select(args):
-    if args.k < 1:
-        raise ConfigError("--k must be at least 1")
     _check_dd_p(args.dd_p, [args.algo])
     g, model_text = _load_weighted(args)
     result = _select_once(g, args.algo, args.k, args.diffusion, args.dd_p)
@@ -191,15 +191,6 @@ def _read_seeds_file(path):
     return ids
 
 
-def _check_sim_flags(args):
-    if args.n_sims < 1:
-        raise ConfigError("--n-sims must be at least 1")
-    if args.workers < 1:
-        raise ConfigError("--workers must be at least 1")
-    if args.hop_limit is not None and args.hop_limit < 0:
-        raise ConfigError("--hop-limit must be non-negative")
-
-
 def _estimate(g, seeds, args, rng_seed):
     """`estimate_spread` under the --diffusion, --hop-limit, --n-sims and --workers flags."""
     return estimate_spread(g, seeds, model=args.diffusion, hop_limit=args.hop_limit, n_sims=args.n_sims,
@@ -207,7 +198,6 @@ def _estimate(g, seeds, args, rng_seed):
 
 
 def cmd_evaluate(args):
-    _check_sim_flags(args)
     g, model_text = _load_weighted(args)
     original = _read_seeds_file(args.seeds_file)
     seeds = g.to_internal(original)
@@ -227,8 +217,6 @@ def cmd_evaluate(args):
 
 
 def cmd_bounds(args):
-    if args.hops < 0:
-        raise ConfigError("--hops must be non-negative")
     g, _ = _load_weighted(args)
     ids, ub = g.original_ids.tolist(), upper_bounds(g, args.hops).tolist()
     # Lazy: only the format asked for builds its rows.
@@ -247,7 +235,6 @@ def cmd_alpha_surface(args):
 
 
 def cmd_bench(args):
-    _check_sim_flags(args)
     scales = _parse_list(args.scales, float, "--scales")
     ks = _parse_list(args.ks, int, "--ks")
     if min(ks) < 1:
@@ -359,6 +346,10 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        for flag, floor in _FLOORS:  # a flag the command lacks, or left unset, is None
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and value < floor:
+                raise ConfigError(f"{flag} must be {f'at least {floor}' if floor else 'non-negative'}")
         _emit(args.out, args.func(args))
         return 0
     except ConfigError as e:

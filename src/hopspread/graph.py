@@ -68,7 +68,8 @@ class Graph:
         Rejects self-loops, duplicate (u, v) pairs, out-of-range endpoints,
         probabilities outside [0, 1], and `original_ids` that are not strictly
         increasing (`to_internal` binary-searches them). Errors name nodes by
-        `original_ids`. The stored arrays are read-only.
+        `original_ids`. The graph keeps its own copy of `original_ids`, and
+        every array it keeps is read-only.
         Integer id arrays that cast safely to int64 (int32 ones too) are used
         as they come, others are cast to int64; targets are int32 when the
         node count fits. The build adds a uint64 key and its argsort (16 B/edge).
@@ -87,9 +88,7 @@ class Graph:
             raise GraphError(f"{n} nodes: the packed sort keys need {2 * node_bits} bits, more than 64")
         if m and (src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n):
             raise GraphError("edge endpoint outside [0, node_count)")
-        if original_ids is None:
-            original_ids = np.arange(n, dtype=np.int64)
-        original_ids = np.asarray(original_ids, dtype=np.int64)
+        original_ids = np.asarray(np.arange(n) if original_ids is None else original_ids, dtype=np.int64)
         if len(original_ids) != n:
             raise GraphError("original_ids length must equal node_count")
         if not (original_ids[1:] > original_ids[:-1]).all():
@@ -100,10 +99,8 @@ class Graph:
         if m and not ((prob >= 0.0) & (prob <= 1.0)).all():
             raise GraphError("edge probability outside [0, 1]")
 
-        self.node_count = n
-        self.edge_count = m
-        self.out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=self.out_indptr[1:])
+        out_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=out_indptr[1:])
 
         # Out-view: one argsort of (source, target) packed into uint64 keys. A
         # prob of all zero bits ("u v" files) is made afresh once order is gone.
@@ -111,21 +108,29 @@ class Graph:
         np.bitwise_or(key, dst, out=key, dtype=np.uint64, casting="unsafe")
         order = np.argsort(key)
         del key
-        self.out_dst = dst.astype(_index_dtype(n), copy=False).take(order)
+        out_dst = dst.astype(_index_dtype(n), copy=False).take(order)
         out_prob = prob[order] if prob.view(np.uint64).any() else None
         del order
-        self.out_prob = np.zeros(m) if out_prob is None else out_prob
+        out_prob = np.zeros(m) if out_prob is None else out_prob
         # Rows are sorted, so the first target equal to its predecessor in its
         # row (dup[i]: out_dst[i] vs out_dst[i - 1]) is the smallest duplicate.
         dup = np.zeros(m + 1, dtype=bool)
-        np.equal(self.out_dst[1:], self.out_dst[:-1], out=dup[1:m])
-        dup[self.out_indptr] = False
+        np.equal(out_dst[1:], out_dst[:-1], out=dup[1:m])
+        dup[out_indptr] = False
         if dup.any():
             i = int(dup.argmax())
-            u = int(np.searchsorted(self.out_indptr, i, side="right")) - 1
-            raise GraphError(f"duplicate edge {int(original_ids[u])}->{int(original_ids[self.out_dst[i]])}")
+            u = int(np.searchsorted(out_indptr, i, side="right")) - 1
+            raise GraphError(f"duplicate edge {int(original_ids[u])}->{int(original_ids[out_dst[i]])}")
+        # The graph's own copy, made after the transients are freed: one made before them raised later RSS peaks.
+        self._finish(out_indptr, out_dst, out_prob, original_ids.copy())
+
+    def _finish(self, out_indptr, out_dst, out_prob, original_ids):
+        """The last step of every Graph, built, reweighted or unpickled: keep
+        read-only views of the arrays, and the node and edge counts they hold."""
         self.out_indptr, self.out_dst, self.out_prob, self.original_ids = map(
-            _read_only, (self.out_indptr, self.out_dst, self.out_prob, original_ids))
+            _read_only, (out_indptr, out_dst, out_prob, original_ids))
+        self.node_count, self.edge_count = len(original_ids), len(out_dst)
+        return self
 
     def out_edges(self, u):
         """(targets, probabilities) array views for node u's outgoing edges."""
@@ -144,36 +149,24 @@ class Graph:
         Raises GraphError for ids that do not exist in the graph.
         """
         original = np.asarray(original, dtype=np.int64)
-        if self.node_count == 0:
-            if len(original):
-                raise GraphError(f"unknown node id {int(original[0])}")
-            return original
         pos = np.searchsorted(self.original_ids, original)
-        bad = (pos >= self.node_count) | (self.original_ids[np.minimum(pos, self.node_count - 1)] != original)
+        # The ids are unique: an id is present iff its left and right insertion points differ.
+        bad = np.searchsorted(self.original_ids, original, side="right") == pos
         if bad.any():
             raise GraphError(f"unknown node id {int(original[bad.argmax()])}")
         return pos.astype(np.int64)
 
     def _with_probs(self, out_prob):
         """New Graph sharing topology arrays, with replaced probabilities."""
-        g = Graph.__new__(Graph)
-        g.node_count = self.node_count
-        g.edge_count = self.edge_count
-        g.out_indptr = self.out_indptr
-        g.out_dst = self.out_dst
-        g.out_prob = _read_only(out_prob)
-        g.original_ids = self.original_ids
-        return g
+        return Graph.__new__(Graph)._finish(self.out_indptr, self.out_dst, out_prob, self.original_ids)
 
     def __setstate__(self, state):
         # Unpickled arrays come back writeable and carry dtype instances equal
         # to, but not, numpy's canonical ones, and some ufunc loops (np.add.at)
         # take a slow generic path on those; a read-only view by scalar type
-        # restores both.
-        for name, value in state[1].items():
-            if isinstance(value, np.ndarray):
-                value = _read_only(value.view(value.dtype.type))
-            setattr(self, name, value)
+        # restores both. The counts are taken from the arrays again.
+        arrays = (state[1][name] for name in ("out_indptr", "out_dst", "out_prob", "original_ids"))
+        self._finish(*(a.view(a.dtype.type) for a in arrays))
 
     def __repr__(self):
         return f"Graph(|V|={self.node_count}, |E|={self.edge_count})"

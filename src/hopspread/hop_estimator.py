@@ -9,8 +9,8 @@ activation approaches 1.
 Evaluating and committing are split: `eval_gain` writes nothing to the
 state and returns a `GainReport` holding the would-be values, so a
 selection loop can evaluate many candidates and commit only the winner. A
-report remembers the state it was computed against and that state's
-version stamp, and `commit` refuses any other.
+report remembers the state it was computed against and that state's seed
+count, and `commit` refuses any other.
 
 An evaluation lowers the one-hop survival q1 of the candidate u (to 0) and
 of its non-seed out-neighbors ws (by one factor under the cascade model,
@@ -49,13 +49,18 @@ import numpy as np
 from ._segments import gather_rows
 from .graph import check_model
 
-# Relative slack on probe bounds: a computed gain can sit an ulp above the
+# Relative slack on bounds: a computed gain can sit an ulp above the
 # exact-arithmetic bound.
 BOUND_SLACK = 1e-9
 
 
+def _with_slack(b):
+    """Bound `b` (float or array) plus BOUND_SLACK: the one slack of probe bounds and bootstrap keys."""
+    return b + BOUND_SLACK * np.maximum(b, 1.0)
+
+
 class StaleReportError(RuntimeError):
-    """A GainReport was produced against another state or an older version."""
+    """A GainReport was produced against another state or an older seed set."""
 
 
 class GainReport:
@@ -81,7 +86,7 @@ class GainReport:
         self.state = state
         self.candidate = candidate
         self.bound = self.gain = gain
-        self.state_version = state.version
+        self.state_version = len(state.seeds)
         self.q1_nodes = q1_nodes
         self.q1_values = q1_values
         self.c_dst = c_dst
@@ -107,7 +112,6 @@ class HopState:
         "q1",
         "q2",
         "sigma",
-        "version",
     )
 
     def __init__(self, graph, model, hops):
@@ -123,7 +127,6 @@ class HopState:
         self.q1 = np.ones(n)
         self.q2 = np.ones(n) if hops == 2 else None
         self.sigma = 0.0
-        self.version = 0
 
     def activation(self):
         """Current per-node activation probability at the state's hop count."""
@@ -137,13 +140,13 @@ def init_state(g, model="ic", hops=2):
 
 
 def _check_current(state, item, kind):
-    """Raise unless the report `item` was made against `state` at its current version."""
+    """Raise unless the report `item` was made against `state` at its current seed count."""
     if item.state is not state:
         raise StaleReportError(f"{kind} for node {item.candidate} was evaluated against another state")
-    if item.state_version != state.version:
+    if item.state_version != len(state.seeds):
         raise StaleReportError(
             f"{kind} for node {item.candidate} was evaluated at version "
-            f"{item.state_version}, state is at {state.version}"
+            f"{item.state_version}, state is at {len(state.seeds)}"
         )
 
 
@@ -203,8 +206,7 @@ def probe_gain(state, u):
             drop *= 1.0 - probe.change
         else:
             np.minimum(drop, probe.change, out=drop)
-        b = s.q2.item(probe.candidate) + float(drop.sum())
-        probe.bound = b + BOUND_SLACK * max(1.0, b)
+        probe.bound = float(_with_slack(s.q2.item(probe.candidate) + float(drop.sum())))
     return probe
 
 
@@ -212,7 +214,7 @@ def eval_gain(state, u):
     """Exact marginal hop-limited gain of adding `u`, without changing state.
 
     `u` is a node, or a report from `probe_gain` at the state's current
-    version, which is completed in place; one whose gain is known is returned.
+    seed set, which is completed in place; one whose gain is known is returned.
     """
     s = state
     if isinstance(u, GainReport):
@@ -256,7 +258,7 @@ def eval_gain(state, u):
 
 
 def commit(state, report):
-    """Apply an evaluated GainReport produced against this exact state and version."""
+    """Apply an evaluated GainReport produced against this exact state and seed set."""
     _check_current(state, report, "report")
     u = report.candidate
     if report.gain is None:
@@ -269,7 +271,6 @@ def commit(state, report):
     state.seed_mask[u] = True
     state.seeds.append(u)
     state.sigma += report.gain
-    state.version += 1
     return state
 
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import upper_bounds
-from .hop_estimator import BOUND_SLACK, commit, eval_gain, init_state, probe_gain
+from .hop_estimator import _with_slack, commit, eval_gain, init_state, probe_gain
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ def greedy_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
     if bootstrap == "none":
         neg = np.full(n, -math.inf)
     else:
-        ub = upper_bounds(g, hops)
-        neg = -(ub + BOUND_SLACK * np.maximum(ub, 1.0))
+        neg = -_with_slack(upper_bounds(g, hops))
     # The largest key pops first, ties toward the smaller id (the sort is
     # stable). Round 0's keys are level 0 (stamp 0), and taken nodes go back
     # with later stamps, so a popped stamp 0 is the frontier's head, whose
@@ -149,7 +148,6 @@ def greedy_naive(g, k, model="ic", hops=2):
     t0 = time.perf_counter()
     state = init_state(g, model=model, hops=hops)
     evaluations = 0
-    seeds = []
     gains = []
     for _ in range(k):
         best = None
@@ -161,11 +159,10 @@ def greedy_naive(g, k, model="ic", hops=2):
             if best is None or rep.gain > best.gain:
                 best = rep
         commit(state, best)
-        seeds.append(best.candidate)
         gains.append(best.gain)
     elapsed = time.perf_counter() - t0
     return SeedResult(
-        seeds=seeds,
+        seeds=state.seeds,
         marginal_gains=gains,
         elapsed=elapsed,
         evaluations=evaluations,

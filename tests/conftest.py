@@ -14,7 +14,7 @@ import pytest
 
 from hopspread.bounds import upper_bounds
 from hopspread.graph import Graph
-from hopspread.hop_estimator import BOUND_SLACK, commit, eval_gain, init_state, probe_gain
+from hopspread.hop_estimator import _with_slack, commit, eval_gain, init_state, probe_gain
 from hopspread.selection import SeedResult, _check_k
 
 
@@ -184,8 +184,7 @@ def reference_celf(g, k, model="ic", hops=2, bootstrap="upper_bounds"):
     if bootstrap == "none":
         bounds = [math.inf] * g.node_count
     else:
-        ub = upper_bounds(g, hops)
-        bounds = (ub + BOUND_SLACK * np.maximum(ub, 1.0)).tolist()
+        bounds = _with_slack(upper_bounds(g, hops)).tolist()
     # The largest key pops first, ties toward the smaller id; the bootstrap
     # keys are round 0's bounds to evaluate (level 0).
     heap = [(-b, v, 0) for v, b in enumerate(bounds)]

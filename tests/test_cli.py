@@ -238,6 +238,16 @@ class TestSelect:
             (["alpha-surface", "--p-grid", "0,1.5"], "--p-grid 0,1.5"),
             (["alpha-surface", "--ratio-grid", "0,2"], "--ratio-grid 0,2"),
             (["alpha-surface", "--truncation", "999"], "--truncation 999"),
+            (["select", "--graph", "g.txt", "--algo", "onehop", "--k", "0"], "--k must be at least 1"),
+            (["evaluate", "--graph", "g.txt", "--seeds-file", "seeds.txt", "--n-sims", "0"],
+             "--n-sims must be at least 1"),
+            (["evaluate", "--graph", "g.txt", "--seeds-file", "seeds.txt", "--workers", "0"],
+             "--workers must be at least 1"),
+            (["bench", "--graph", "g.txt", "--workers", "0"], "--workers must be at least 1"),
+            (["bench", "--graph", "g.txt", "--hop-limit", "-1"], "--hop-limit must be non-negative"),
+            # Flag parsing refuses the seed before any floor is checked.
+            (["select", "--graph", "g.txt", "--algo", "onehop", "--k", "0", "--rng-seed", "-1"],
+             "--rng-seed must be non-negative, got -1"),
         ],
         ids=["model", "scale", "hop-limit", "bench-scales", "bench-scale", "bench-format", "bench-num-nodes",
              "select-num-nodes", "select-degree-kind", "bench-degree-kind", "evaluate-rng-seed", "select-rng-seed",
@@ -245,7 +255,8 @@ class TestSelect:
              "p-grid-bounds", "p-grid-count", "ratio-grid-bounds", "ratio-grid-count", "bench-ks", "bench-algos-empty",
              "bench-scales-number", "synthetic-m", "synthetic-empty", "synthetic-gamma", "dd-p", "bench-ks-zero",
              "bounds-hops", "gamma-2", "gamma-0.5", "gamma-60", "p-grid-range", "ratio-grid-range",
-             "truncation-low"],
+             "truncation-low", "select-k-zero", "evaluate-n-sims-zero", "evaluate-workers-zero",
+             "bench-workers-zero", "bench-hop-limit", "select-rng-seed-before-k"],
     )
     def test_bad_flag_value_is_config_error_naming_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)

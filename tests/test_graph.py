@@ -533,7 +533,26 @@ class TestGraphConstruction:
             for name in ("out_indptr", "out_dst", "out_prob", "original_ids"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(h, name)[0] = 7
-        ids[0] = 5  # the graph holds a read-only view; the caller's array stays writeable
+        ids[0] = 5  # the caller's array stays writeable, and the graph keeps its own copy
+        assert list(g.original_ids) == [10, 20, 30]
+        assert list(g.to_internal([10])) == [0]
+
+    def test_to_internal_on_empty_graph(self):
+        g = Graph(0, [], [], [])
+        got = g.to_internal([])
+        assert got.dtype == np.int64 and got.shape == (0,)
+        with pytest.raises(GraphError, match="^unknown node id 5$"):
+            g.to_internal([5])
+
+    @pytest.mark.parametrize(
+        "original, bad",
+        [([20, 5], 5), ([10, 25, 7], 25), ([30, 31], 31), ([40, 5], 40)],
+        ids=["below-first", "between", "above-last", "above-then-below"],
+    )
+    def test_to_internal_names_first_unknown_id(self, original, bad):
+        g = Graph(3, [0, 1], [1, 2], [0.5, 0.5], original_ids=[10, 20, 30])
+        with pytest.raises(GraphError, match=f"^unknown node id {bad}$"):
+            g.to_internal(original)
 
     @pytest.mark.parametrize("kind", ["int32", "int64", "uint32", "list"])
     def test_id_dtypes_and_edge_order_give_identical_slots(self, kind):

@@ -126,13 +126,13 @@ class TestStateContracts:
 
         def snapshot(state):
             q2 = None if state.q2 is None else state.q2.copy()
-            return state.q1.copy(), q2, state.seed_mask.copy(), state.sigma, state.version
+            return state.q1.copy(), q2, state.seed_mask.copy(), state.sigma, len(state.seeds)
 
         def assert_unchanged(state, snap):
-            q1, q2, mask, sigma, version = snap
+            q1, q2, mask, sigma, seed_count = snap
             assert np.array_equal(state.q1, q1) and np.array_equal(state.seed_mask, mask)
             assert q2 is None if state.q2 is None else np.array_equal(state.q2, q2)
-            assert state.sigma == sigma and state.version == version
+            assert state.sigma == sigma and len(state.seeds) == seed_count
 
         def failing_gather(*args):
             raise RuntimeError("injected")
@@ -445,10 +445,10 @@ class TestStateIsItsSeedSet:
         for arr in (s.q1, s.q2, s.seed_mask):
             if arr is not None:
                 arr.flags.writeable = False
-        sigma, version = s.sigma, s.version
+        sigma = s.sigma
         for u in np.flatnonzero(~s.seed_mask):
             eval_gain(s, probe_gain(s, int(u)))
-        assert (s.sigma, s.version, len(s.seeds)) == (sigma, version, 20)
+        assert (s.sigma, len(s.seeds)) == (sigma, 20)
 
     @pytest.mark.parametrize("model", ["ic", "lt"])
     @pytest.mark.parametrize("hops", [1, 2])
@@ -659,10 +659,10 @@ class TestProbe:
         rng = np.random.default_rng(94)
         for s in self.states(rng):
             u = int(np.flatnonzero(~s.seed_mask)[0])
-            before = (s.q1.tobytes(), s.q2.tobytes(), s.seed_mask.tobytes(), list(s.seeds), s.sigma, s.version)
+            before = (s.q1.tobytes(), s.q2.tobytes(), s.seed_mask.tobytes(), list(s.seeds), s.sigma)
             with pytest.raises(ValueError, match=f"report for node {u} has no gain"):
                 commit(s, probe_gain(s, u))
-            assert (s.q1.tobytes(), s.q2.tobytes(), s.seed_mask.tobytes(), list(s.seeds), s.sigma, s.version) == before
+            assert (s.q1.tobytes(), s.q2.tobytes(), s.seed_mask.tobytes(), list(s.seeds), s.sigma) == before
 
     def test_one_hop_probe_commits_as_its_evaluation(self):
         rng = np.random.default_rng(95)
@@ -674,7 +674,7 @@ class TestProbe:
             commit(s, probe_gain(s, u))
             commit(twin, eval_gain(twin, u))
             assert s.q1.tobytes() == twin.q1.tobytes() and s.seed_mask.tobytes() == twin.seed_mask.tobytes()
-            assert (s.seeds, s.sigma, s.version) == (twin.seeds, twin.sigma, twin.version)
+            assert (s.seeds, s.sigma) == (twin.seeds, twin.sigma)
 
     @pytest.mark.parametrize("hops", [1, 2])
     def test_stale_probe_and_seed_are_refused(self, chain_graph, hops):

@@ -72,7 +72,7 @@ class TestCelfMatchesNaive:
         # A node or a waiting probe: record the candidate it stands for.
         def recording_eval_gain(state, node):
             report = eval_gain(state, node)
-            calls.append((report.candidate, state.version))
+            calls.append((report.candidate, len(state.seeds)))
             return report
 
         monkeypatch.setattr(selection, "eval_gain", recording_eval_gain)
